@@ -32,8 +32,6 @@
 
 #include "bench_util.hpp"
 #include "core/abstractions.hpp"
-#include "core/certified.hpp"
-#include "core/curve_based.hpp"
 #include "core/sensitivity.hpp"
 #include "core/structural.hpp"
 #include "curves/minplus.hpp"
@@ -163,17 +161,13 @@ Staircase random_curve(Rng& rng, Time horizon, double step_prob,
   return Staircase::from_points(std::move(pts), horizon);
 }
 
-/// SoA-vs-AoS curve kernel ablation plus the certified-coarsening
-/// ablation.  The microbench mix mirrors the analysis hot path:
-/// min-plus convolution on ~300-breakpoint curves (joint-FP / leftover
-/// territory) and hdev / pointwise / pseudo-inverse on busy-window-sized
-/// curves (every structural and curve-based run hammers those).  Both
-/// layouts are checked bit-identical before any timing; the aggregate
-/// mix must clear the 1.5x gate.  The coarsening ablation runs the
-/// certified coarse-first driver against the exact curve analysis on
-/// generated tasks and reports the worst certified bracket width.
-/// Headline numbers land in BENCH_runtime.json as kernel_speedup and
-/// max_certified_error.
+/// SoA-vs-AoS curve kernel ablation.  The microbench mix mirrors the
+/// analysis hot path: min-plus convolution on ~300-breakpoint curves
+/// (joint-FP / leftover territory) and hdev / pointwise / pseudo-inverse
+/// on busy-window-sized curves (every structural and curve-based run
+/// hammers those).  Both layouts are checked bit-identical before any
+/// timing; the aggregate mix must clear the 1.5x gate.  The headline
+/// number lands in BENCH_runtime.json as kernel_speedup.
 int run_kernel_section(bench::BenchReport& report) {
   using namespace strt::bench;
   Rng rng(7070);
@@ -292,64 +286,6 @@ int run_kernel_section(bench::BenchReport& report) {
               fmt_ratio(kernel_speedup, 2) + "x"});
   kt.print(std::cout);
 
-  // --- Certified coarsening ablation: exact curve analysis vs the
-  // coarse-first driver, bracket containment checked per task, the worst
-  // certified bracket width reported.
-  constexpr std::size_t kCertTasks = 6;
-  const Supply cert_supply = Supply::tdma(Time(5), Time(10));
-  std::vector<GeneratedTask> cert_tasks;
-  for (std::size_t i = 0; i < kCertTasks; ++i) {
-    cert_tasks.push_back(task_with_vertices(12, 0.35, 3300 + i));
-  }
-
-  std::vector<CurveResult> exact_results;
-  double exact_ms = 0;
-  {
-    Phase phase("ablation.coarsen.exact");
-    for (const GeneratedTask& g : cert_tasks) {
-      engine::Workspace ws;
-      exact_results.push_back(curve_delay(ws, g.task, cert_supply));
-    }
-    exact_ms = phase.millis();
-  }
-
-  CertifiedDelayOptions copts;
-  copts.granularity = Time(64);
-  std::vector<CertifiedDelayResult> coarse_results;
-  double coarse_ms = 0;
-  {
-    Phase phase("ablation.coarsen.first");
-    for (const GeneratedTask& g : cert_tasks) {
-      engine::Workspace ws;
-      coarse_results.push_back(
-          certified_curve_delay(ws, g.task, cert_supply, copts));
-    }
-    coarse_ms = phase.millis();
-  }
-
-  Time max_certified_error(0);
-  for (std::size_t i = 0; i < kCertTasks; ++i) {
-    const CurveResult& ex = exact_results[i];
-    const CertifiedDelayResult& c = coarse_results[i];
-    if (ex.delay.is_unbounded() != c.delay.is_unbounded() ||
-        (!ex.delay.is_unbounded() &&
-         (c.delay_lower > ex.delay || c.delay < ex.delay))) {
-      std::cerr << "coarsen ablation: certified bracket misses the exact "
-                   "delay on task "
-                << i << "\n";
-      return 1;
-    }
-    max_certified_error = max(max_certified_error, c.certified_error);
-  }
-
-  std::cout << "\nCertified coarsening (" << kCertTasks
-            << " tasks, starting granularity "
-            << copts.granularity.count() << "):\n";
-  Table ctbl({"exact ms", "coarse-first ms", "max certified error"});
-  ctbl.add_row({fmt_ratio(exact_ms, 1), fmt_ratio(coarse_ms, 1),
-                show(max_certified_error)});
-  ctbl.print(std::cout);
-
   report.metric("kernel_legacy_ms", legacy_ms);
   report.metric("kernel_soa_ms", soa_ms);
   report.metric("kernel_speedup", kernel_speedup);
@@ -361,9 +297,6 @@ int run_kernel_section(bench::BenchReport& report) {
                 rows[2].legacy_ms / std::max(rows[2].soa_ms, 1e-6));
   report.metric("kernel_inverse_speedup",
                 rows[3].legacy_ms / std::max(rows[3].soa_ms, 1e-6));
-  report.metric("certified_exact_ms", exact_ms);
-  report.metric("certified_coarse_ms", coarse_ms);
-  report.metric("max_certified_error", max_certified_error);
 
   if (kernel_speedup < 1.5) {
     std::cerr << "kernel ablation: SoA speedup " << kernel_speedup

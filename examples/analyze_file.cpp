@@ -16,7 +16,7 @@
 // pool size (0 = hardware default).
 //
 // `--snapshot PATH` warm-starts the workspace from a persistent snapshot
-// (strt.engine.snapshot.v1; missing or rejected files cold-start clean)
+// (strt.engine.snapshot.v2; missing or rejected files cold-start clean)
 // and saves the warmed state back before exiting; `--cache-budget BYTES`
 // bounds the interned-curve storage ("64M"-style suffixes).  Both
 // default to the STRT_SNAPSHOT / STRT_CACHE_BUDGET environment
@@ -88,7 +88,6 @@ int main(int argc, char** argv) {
   bool no_cache = false;
   bool check = false;
   bool check_strict = false;
-  std::optional<Time> coarsen;
 
   // Peel off the `--flag` arguments wherever they appear; the remaining
   // positional arguments keep their original meaning.
@@ -132,15 +131,6 @@ int main(int argc, char** argv) {
       }
       exec::set_thread_count(static_cast<std::size_t>(
           std::stoull(argv[++i])));
-    } else if (arg == "--coarsen") {
-      coarsen = Time(64);
-    } else if (arg.rfind("--coarsen=", 0) == 0) {
-      const long long g = std::stoll(arg.substr(10));
-      if (g < 1) {
-        std::cerr << "--coarsen granularity must be >= 1\n";
-        return 2;
-      }
-      coarsen = Time(g);
     } else {
       args.emplace_back(arg);
     }
@@ -161,7 +151,7 @@ int main(int argc, char** argv) {
     std::cerr << "usage: analyze_file <task-file> \"<supply spec>\" "
                  "[deadline] [--report out.json] [--no-cache] "
                  "[--snapshot PATH] [--cache-budget BYTES] "
-                 "[--check[=strict]] [--threads N] [--coarsen[=G]]\n"
+                 "[--check[=strict]] [--threads N]\n"
                  "(no positional arguments runs a built-in demo)\n";
     return 2;
   }
@@ -226,7 +216,6 @@ int main(int argc, char** argv) {
   request.kind = svc::AnalysisKind::kStructural;
   request.tasks = {task};
   request.supply = supply;
-  if (coarsen) request.common.coarsen_g = *coarsen;
   const svc::AnalysisOutcome outcome = svc::run_request(ws, request);
   lint.merge(outcome.diagnostics);
   if (check) {
@@ -245,14 +234,6 @@ int main(int argc, char** argv) {
     std::cerr << "model rejected by the validate front gate (re-run with "
                  "--check for details)\n";
     return 1;
-  }
-
-  if (outcome.certified_error) {
-    if (const StructuralResult* s = outcome.structural()) {
-      std::cout << "Certified coarse analysis: delay <= " << show(s->delay)
-                << ", certified error " << show(*outcome.certified_error)
-                << " (the exact curve bound lies within that bracket)\n\n";
-    }
   }
 
   obs::RunReport report("analyze_file");
@@ -291,8 +272,6 @@ int main(int argc, char** argv) {
   report.put("cache.hits", static_cast<std::int64_t>(cache.hits));
   report.put("cache.misses", static_cast<std::int64_t>(cache.misses));
   report.put("cache.bytes", static_cast<std::int64_t>(cache.bytes));
-  report.put("cache.coarse_hits",
-             static_cast<std::int64_t>(cache.coarse_hits));
   if (!snapshot_path.empty()) {
     std::string save_error;
     if (!ws.save_snapshot(snapshot_path, &save_error)) {

@@ -39,10 +39,7 @@
 // budget with K/M/G suffixes, e.g. 64M; defaults to STRT_CACHE_BUDGET).
 // Results are bit-identical across all of these; only the timings move.
 // The summary report line embeds the resolved effective configuration
-// under "config" (flag > STRT_* env > default, per knob).  --coarsen G switches every structural
-// request to the coarse-first certified path at starting granularity G
-// (reports carry structural.certified_error); that one is an
-// approximation knob, not an ablation.
+// under "config" (flag > STRT_* env > default, per knob).
 //
 // --lockdep-report prints the lock-order analysis summary (src/race/
 // lockdep.hpp) after the run; in a -DSTRT_LOCKDEP=ON build any detected
@@ -111,7 +108,6 @@ int main(int argc, char** argv) {
   std::string format_name = "jsonl";
   std::string task_dir;
   svc::ServiceOptions sopts;
-  std::int64_t coarsen_g = 0;
   bool lockdep_report = false;
   std::vector<std::string> args;
 
@@ -154,12 +150,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       sopts.cache_bytes_budget = *bytes;
-    } else if (arg == "--coarsen") {
-      coarsen_g = std::stoll(next_value("a granularity"));
-      if (coarsen_g < 1) {
-        std::cerr << "--coarsen granularity must be >= 1\n";
-        return 2;
-      }
     } else if (arg == "--threads") {
       exec::set_thread_count(std::stoull(next_value("a count")));
     } else if (arg == "--lockdep-report") {
@@ -179,7 +169,7 @@ int main(int argc, char** argv) {
                    "[--batch N] [--shards N] [--no-batch] [--serial] "
                    "[--no-cache] [--snapshot PATH] [--cache-budget BYTES] "
                    "[--threads N] [--telemetry-dir DIR] "
-                   "[--coarsen G] [--lockdep-report]\n";
+                   "[--lockdep-report]\n";
       return 2;
     } else {
       args.push_back(arg);
@@ -206,12 +196,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     parses = svc::read_request_stream(in, *format, task_dir);
-  }
-
-  if (coarsen_g > 0) {
-    for (svc::RequestParse& parse : parses) {
-      if (parse.request) parse.request->common.coarsen_g = Time(coarsen_g);
-    }
   }
 
   // Serve everything through one long-lived service: submit in input

@@ -36,7 +36,7 @@ class InternalError : public std::logic_error {
 
 /// Raised when an analysis would exceed a hard resource budget (e.g. the
 /// min-plus piece cap).  The input is well-formed but too large/fine;
-/// coarsen it or shrink the horizon.
+/// shrink the analysis horizon.
 class ResourceLimitError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;

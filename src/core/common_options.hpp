@@ -12,20 +12,9 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "base/config.hpp"
-#include "base/types.hpp"
 #include "graph/explore.hpp"
 
 namespace strt {
-
-/// Default coarsening granularity: the STRT_COARSEN_G environment
-/// variable resolved through strt::cfg (once, on first use), else 0
-/// (coarsening off).  Values below 1 mean "off".
-[[nodiscard]] inline Time default_coarsen_g() {
-  static const std::int64_t g =
-      cfg::get_int("STRT_COARSEN_G", /*def=*/0, /*min=*/1);
-  return Time(g);
-}
 
 struct CommonOptions {
   /// State cap forwarded to the explorer.  A capped run returns with
@@ -37,13 +26,6 @@ struct CommonOptions {
   /// lower bounds (the explored prefix's worst case).
   std::uint64_t progress_every = 0;
   ExploreProgressFn on_progress{};
-
-  /// Opt-in coarse-first mode for the analyses that support it (the
-  /// structural request path runs core/certified.hpp instead of the
-  /// exploration when this is > 0): starting grid granularity of the
-  /// certified coarsening, 0 = exact analysis.  Defaults to the
-  /// STRT_COARSEN_G environment variable (off when unset).
-  Time coarsen_g = default_coarsen_g();
 
   /// The shared block by itself (slicing helper: copy one analysis'
   /// common knobs into another's options, e.g. request -> inner

@@ -21,7 +21,7 @@ constexpr std::size_t kMaxPieces = 30'000'000;
 void check_piece_budget(std::size_t nf, std::size_t ng) {
   STRT_LIMIT(nf <= kMaxPieces / std::max<std::size_t>(ng, 1),
              "minplus (de)convolution: operands have too many breakpoints; "
-             "coarsen the curves or shrink the horizon");
+             "shrink the analysis horizon");
 }
 
 /// Canonical-staircase accumulator for samples arriving in non-decreasing

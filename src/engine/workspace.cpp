@@ -26,7 +26,6 @@
 #include "base/config.hpp"
 #include "base/mutex.hpp"
 #include "check/check.hpp"
-#include "curves/coarsen.hpp"
 #include "curves/hull.hpp"
 #include "curves/minplus.hpp"
 #include "engine/fingerprint.hpp"
@@ -185,24 +184,6 @@ struct Workspace::Impl {
 
   Striped<std::unordered_map<DerivedKey, CurvePtr, DerivedKeyHash>> derived;
 
-  struct CoarseKey {
-    std::uint64_t fp;
-    std::int64_t g;
-    std::uint8_t side;  // 0 = lower, 1 = upper
-    friend bool operator==(const CoarseKey&, const CoarseKey&) = default;
-  };
-  struct CoarseKeyHash {
-    std::size_t operator()(const CoarseKey& k) const {
-      return static_cast<std::size_t>(hash_combine(
-          hash_combine(k.fp, static_cast<std::uint64_t>(k.g)), k.side));
-    }
-  };
-  struct CoarseEntry {
-    CurvePtr curve;
-    Work max_error{0};
-  };
-  Striped<std::unordered_map<CoarseKey, CoarseEntry, CoarseKeyHash>> coarse;
-
   Striped<std::unordered_map<std::uint64_t,
                              std::shared_ptr<PseudoInverse::Entry>>>
       inverses;
@@ -216,13 +197,12 @@ struct Workspace::Impl {
   std::atomic<std::uint64_t> bytes{0};
   std::atomic<std::uint64_t> inverse_hits{0};
   std::atomic<std::uint64_t> inverse_misses{0};
-  std::atomic<std::uint64_t> coarse_hits{0};
   std::atomic<std::uint64_t> evictions{0};
   std::atomic<std::uint64_t> evicted_bytes{0};
 
   /// Bytes-budget eviction state.  A "group" is a top-level memo key --
   /// a task fingerprint (all its rbf/dbf horizons), a curve fingerprint
-  /// (its interned storage, derived ops, coarse curves, inverses), or a
+  /// (its interned storage, derived ops, inverses), or a
   /// supply-description hash (its sbf materializations) -- so one LRU
   /// decision drops a coherent unit of warmth.  Touch order is a relaxed
   /// atomic clock; the registry itself is a plain std::mutex (never
@@ -286,11 +266,6 @@ struct Workspace::Impl {
     bytes.fetch_add(n, std::memory_order_relaxed);
     static obs::Counter& c = obs::counter("cache.bytes");
     c.add(n);
-  }
-  void note_coarse_hit() {
-    coarse_hits.fetch_add(1, std::memory_order_relaxed);
-    static obs::Counter& c = obs::counter("cache.coarse_hits");
-    c.add(1);
   }
   void note_inverse(bool hit) {
     (hit ? inverse_hits : inverse_misses)
@@ -378,12 +353,6 @@ void Workspace::Impl::evict_to_budget(std::uint64_t target) {
         it = hit(it->first.a) ? stripe.table.erase(it) : std::next(it);
       }
     }
-    for (auto& stripe : coarse.stripes) {
-      const StripeLock lock(stripe.m);
-      for (auto it = stripe.table.begin(); it != stripe.table.end();) {
-        it = hit(it->first.fp) ? stripe.table.erase(it) : std::next(it);
-      }
-    }
     for (auto& stripe : inverses.stripes) {
       const StripeLock lock(stripe.m);
       for (auto it = stripe.table.begin(); it != stripe.table.end();) {
@@ -441,10 +410,6 @@ void Workspace::Impl::backfill_groups() {
   for (auto& stripe : derived.stripes) {
     const StripeLock lock(stripe.m);
     for (const auto& [key, curve] : stripe.table) found.emplace(key.a, 0);
-  }
-  for (auto& stripe : coarse.stripes) {
-    const StripeLock lock(stripe.m);
-    for (const auto& [key, entry] : stripe.table) found.emplace(key.fp, 0);
   }
   for (auto& stripe : inverses.stripes) {
     const StripeLock lock(stripe.m);
@@ -730,57 +695,6 @@ CurvePtr Workspace::concave_hull_staircase(const Staircase& f) {
   return derived(DerivedOp::kHull, f, nullptr);
 }
 
-Workspace::CoarseCurvePtr Workspace::coarse(const Staircase& f, Time g,
-                                            bool upper) {
-  const auto compute = [&] {
-    return upper ? strt::coarsen_upper(f, g) : strt::coarsen_lower(f, g);
-  };
-  if (!caching_) {
-    impl_->note_miss();
-    CoarseCurve c = compute();
-    return CoarseCurvePtr{
-        std::make_shared<const Staircase>(std::move(c.curve)), c.max_error};
-  }
-  const Impl::CoarseKey key{fingerprint(f), g.count(),
-                            static_cast<std::uint8_t>(upper ? 1 : 0)};
-  auto& stripe = impl_->coarse.of(Impl::CoarseKeyHash{}(key));
-  {
-    const LookupTimer timer;
-    const StripeLock lock(stripe.m);
-    if (const auto it = stripe.table.find(key); it != stripe.table.end()) {
-      impl_->note_hit();
-      impl_->note_coarse_hit();
-      impl_->touch_group(key.fp);
-      return CoarseCurvePtr{it->second.curve, it->second.max_error};
-    }
-  }
-  // Coarsen outside the lock; racers produce the identical canonical
-  // curve and the emplace keeps the first entry.
-  CoarseCurve c = compute();
-  impl_->note_miss();
-  CoarseCurvePtr result{intern(std::move(c.curve)), c.max_error};
-  {
-    const StripeLock lock(stripe.m);
-    const auto [it, inserted] = stripe.table.emplace(
-        key, Impl::CoarseEntry{result.curve, result.max_error});
-    if (!inserted) {
-      result = CoarseCurvePtr{it->second.curve, it->second.max_error};
-    }
-  }
-  impl_->touch_group(key.fp);
-  return result;
-}
-
-Workspace::CoarseCurvePtr Workspace::coarse_upper(const Staircase& f,
-                                                  Time g) {
-  return coarse(f, g, /*upper=*/true);
-}
-
-Workspace::CoarseCurvePtr Workspace::coarse_lower(const Staircase& f,
-                                                  Time g) {
-  return coarse(f, g, /*upper=*/false);
-}
-
 Workspace::PseudoInverse Workspace::inverse_of(const Staircase& curve) {
   if (!caching_) return PseudoInverse(&curve, nullptr, this);
   const std::uint64_t fp = fingerprint(curve);
@@ -900,15 +814,6 @@ bool Workspace::save_snapshot(const std::string& path, std::string* error) {
       }
     }
   }
-  for (auto& stripe : impl_->coarse.stripes) {
-    const StripeLock lock(stripe.m);
-    for (const auto& [key, entry] : stripe.table) {
-      if (const auto fp = add_curve(entry.curve)) {
-        snap.coarse.push_back(snapshot::CoarseRecord{
-            key.fp, key.g, key.side, *fp, entry.max_error.count()});
-      }
-    }
-  }
 
   snap.curves.reserve(exported.size());
   for (const auto& [fp, curve] : exported) {
@@ -929,11 +834,6 @@ bool Workspace::save_snapshot(const std::string& path, std::string* error) {
   std::sort(snap.derived.begin(), snap.derived.end(),
             [](const auto& a, const auto& b) {
               return std::tie(a.op, a.a, a.b) < std::tie(b.op, b.a, b.b);
-            });
-  std::sort(snap.coarse.begin(), snap.coarse.end(),
-            [](const auto& a, const auto& b) {
-              return std::tie(a.fp, a.g, a.side) <
-                     std::tie(b.fp, b.g, b.side);
             });
 
   if (!snapshot::write_file(path, snap, error)) return false;
@@ -1030,9 +930,6 @@ bool Workspace::load_snapshot(const std::string& path, std::string* error) {
       }
       (void)resolve(rec.curve_fp);
     }
-    for (const snapshot::CoarseRecord& rec : snap.coarse) {
-      (void)resolve(rec.curve_fp);
-    }
 
     // Stage 2 -- apply through the normal first-insert-wins inserts
     // (safe concurrently with serving and with other loaders/savers).
@@ -1080,16 +977,6 @@ bool Workspace::load_snapshot(const std::string& path, std::string* error) {
       }
       impl_->touch_group(rec.a);
     }
-    for (const snapshot::CoarseRecord& rec : snap.coarse) {
-      {
-        const Impl::CoarseKey key{rec.fp, rec.g, rec.side};
-        auto& stripe = impl_->coarse.of(Impl::CoarseKeyHash{}(key));
-        const StripeLock lock(stripe.m);
-        stripe.table.emplace(key, Impl::CoarseEntry{canon.at(rec.curve_fp),
-                                                    Work(rec.max_error)});
-      }
-      impl_->touch_group(rec.fp);
-    }
 
     static obs::Counter& c_load_ns = obs::counter("snapshot.load_ns");
     c_load_ns.add(static_cast<std::uint64_t>(
@@ -1113,7 +1000,6 @@ WorkspaceStats Workspace::stats() const {
   s.bytes = impl_->bytes.load(std::memory_order_relaxed);
   s.inverse_hits = impl_->inverse_hits.load(std::memory_order_relaxed);
   s.inverse_misses = impl_->inverse_misses.load(std::memory_order_relaxed);
-  s.coarse_hits = impl_->coarse_hits.load(std::memory_order_relaxed);
   s.evictions = impl_->evictions.load(std::memory_order_relaxed);
   s.evicted_bytes = impl_->evicted_bytes.load(std::memory_order_relaxed);
   return s;

@@ -47,8 +47,8 @@
 //
 // Persistence: save_snapshot() serializes the curve-bearing memo
 // families (interned curves, rbf/dbf with full horizon metadata, sbf,
-// derived ops, coarse curves) into the versioned on-disk format
-// strt.engine.snapshot.v1 (src/snapshot/), written crash-safe via
+// derived ops) into the versioned on-disk format strt.engine.snapshot.v2
+// (src/snapshot/), written crash-safe via
 // tmp+rename; load_snapshot() validates and replays a snapshot into the
 // striped tables through the normal first-insert-wins inserts, so a
 // restarted server answers a known corpus at warm speed from request
@@ -102,8 +102,6 @@ struct WorkspaceStats {
   /// Pseudo-inverse point lookups answered from / added to the memo.
   std::uint64_t inverse_hits{0};
   std::uint64_t inverse_misses{0};
-  /// Coarse-curve queries answered from the (fingerprint, g, side) memo.
-  std::uint64_t coarse_hits{0};
   /// Entry groups dropped by the bytes-budget eviction policy, and the
   /// interned-curve bytes they released.
   std::uint64_t evictions{0};
@@ -165,7 +163,7 @@ class Workspace {
   [[nodiscard]] BatchPin pin_batch();
 
   /// Serializes the curve-bearing memo families to `path` in the
-  /// versioned strt.engine.snapshot.v1 format, crash-safe (tmp+rename).
+  /// versioned strt.engine.snapshot.v2 format, crash-safe (tmp+rename).
   /// Applies the bytes-budget eviction first when a budget is set.
   /// False (reason in *error) on I/O failure; false with no entries
   /// written is still a valid snapshot of an empty workspace.
@@ -196,18 +194,6 @@ class Workspace {
 
   /// supply.sbf(horizon), memoized by (supply description, horizon).
   [[nodiscard]] CurvePtr sbf(const Supply& supply, Time horizon);
-
-  /// Memoized granularity coarsening (curves/coarsen.hpp), keyed by
-  /// (curve fingerprint, g, side).  The certified-bound driver re-probes
-  /// the same (curve, g) pair on every refinement round and across
-  /// request sweeps, so these hits are tracked separately as
-  /// cache.coarse_hits / WorkspaceStats::coarse_hits.
-  struct CoarseCurvePtr {
-    CurvePtr curve;
-    Work max_error{0};
-  };
-  [[nodiscard]] CoarseCurvePtr coarse_upper(const Staircase& f, Time g);
-  [[nodiscard]] CoarseCurvePtr coarse_lower(const Staircase& f, Time g);
 
   /// Memoized curve algebra (operand-fingerprint keyed, exact match).
   [[nodiscard]] CurvePtr pointwise_add(const Staircase& f,
@@ -248,7 +234,6 @@ class Workspace {
   enum class DerivedOp : std::uint8_t;
   [[nodiscard]] CurvePtr derived(DerivedOp op, const Staircase& f,
                                  const Staircase* g);
-  [[nodiscard]] CoarseCurvePtr coarse(const Staircase& f, Time g, bool upper);
   [[nodiscard]] CurvePtr workload_curve(const DrtTask& task, Time horizon,
                                         bool demand);
 

@@ -121,17 +121,6 @@ void encode_derived(std::string& out, const std::vector<DerivedRecord>& recs) {
   }
 }
 
-void encode_coarse(std::string& out, const std::vector<CoarseRecord>& recs) {
-  put(out, static_cast<std::uint64_t>(recs.size()));
-  for (const CoarseRecord& r : recs) {
-    put(out, r.fp);
-    put_i64(out, r.g);
-    put(out, r.side);
-    put(out, r.curve_fp);
-    put_i64(out, r.max_error);
-  }
-}
-
 [[nodiscard]] bool decode_curves(Cursor& c, std::vector<CurveRecord>& out) {
   std::uint64_t count = 0;
   if (!c.take(count) || !plausible_count(count, c, 8 + 8 + 1 + 8 + 8 + 8)) {
@@ -223,28 +212,10 @@ void encode_coarse(std::string& out, const std::vector<CoarseRecord>& recs) {
   return c.remaining() == 0;
 }
 
-[[nodiscard]] bool decode_coarse(Cursor& c, std::vector<CoarseRecord>& out) {
-  std::uint64_t count = 0;
-  if (!c.take(count) || !plausible_count(count, c, 8 + 8 + 1 + 8 + 8)) {
-    return false;
-  }
-  out.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    CoarseRecord r;
-    if (!c.take(r.fp) || !c.take_i64(r.g) || !c.take(r.side) ||
-        !c.take(r.curve_fp) || !c.take_i64(r.max_error)) {
-      return false;
-    }
-    if (r.side > 1) return false;
-    out.push_back(r);
-  }
-  return c.remaining() == 0;
-}
-
 }  // namespace
 
 std::uint64_t Snapshot::entry_count() const {
-  std::uint64_t n = curves.size() + sbf.size() + derived.size() + coarse.size();
+  std::uint64_t n = curves.size() + sbf.size() + derived.size();
   for (const WorkloadRecord& r : rbf) n += r.by_horizon.size();
   for (const WorkloadRecord& r : dbf) n += r.by_horizon.size();
   return n;
@@ -260,18 +231,17 @@ std::uint64_t fnv1a64(std::string_view bytes) {
 }
 
 std::string encode(const Snapshot& snap) {
-  // Render the six section payloads first so the header can carry exact
+  // Render the section payloads first so the header can carry exact
   // lengths and checksums.
-  std::string payloads[6];
+  std::string payloads[kSectionCount];
   encode_curves(payloads[0], snap.curves);
   encode_workload(payloads[1], snap.rbf);
   encode_workload(payloads[2], snap.dbf);
   encode_sbf(payloads[3], snap.sbf);
   encode_derived(payloads[4], snap.derived);
-  encode_coarse(payloads[5], snap.coarse);
-  constexpr SectionId kIds[6] = {SectionId::kCurves, SectionId::kRbf,
-                                 SectionId::kDbf,    SectionId::kSbf,
-                                 SectionId::kDerived, SectionId::kCoarse};
+  constexpr SectionId kIds[kSectionCount] = {
+      SectionId::kCurves, SectionId::kRbf, SectionId::kDbf, SectionId::kSbf,
+      SectionId::kDerived};
 
   std::string out;
   std::size_t total = kMagic.size() + 16;
@@ -281,9 +251,9 @@ std::string encode(const Snapshot& snap) {
   out += kMagic;
   put(out, kVersion);
   put(out, kEndianTag);
-  put(out, static_cast<std::uint32_t>(6));
+  put(out, kSectionCount);
   put(out, static_cast<std::uint32_t>(0));
-  for (std::size_t i = 0; i < 6; ++i) {
+  for (std::size_t i = 0; i < kSectionCount; ++i) {
     put(out, static_cast<std::uint32_t>(kIds[i]));
     put(out, static_cast<std::uint32_t>(0));
     put(out, static_cast<std::uint64_t>(payloads[i].size()));
@@ -319,9 +289,9 @@ DecodeResult decode(std::string_view bytes) {
   }
   if (endian != kEndianTag) return reject("endianness mismatch");
   if (reserved != 0) return reject("nonzero reserved header field");
-  if (section_count > 6) return reject("too many sections");
+  if (section_count > kSectionCount) return reject("too many sections");
 
-  bool seen[7] = {};
+  bool seen[kSectionCount + 1] = {};
   for (std::uint32_t s = 0; s < section_count; ++s) {
     std::uint32_t id = 0;
     std::uint32_t sec_reserved = 0;
@@ -330,7 +300,7 @@ DecodeResult decode(std::string_view bytes) {
       return reject("truncated section header");
     }
     if (sec_reserved != 0) return reject("nonzero reserved section field");
-    if (id < 1 || id > 6) return reject("unknown section id");
+    if (id < 1 || id > kSectionCount) return reject("unknown section id");
     if (seen[id]) return reject("duplicate section");
     seen[id] = true;
     std::string_view payload;
@@ -358,9 +328,6 @@ DecodeResult decode(std::string_view bytes) {
         break;
       case SectionId::kDerived:
         ok = decode_derived(pc, result.snap.derived);
-        break;
-      case SectionId::kCoarse:
-        ok = decode_coarse(pc, result.snap.coarse);
         break;
     }
     if (!ok) return reject("malformed section payload");

@@ -1,25 +1,25 @@
 // strt::snapshot -- the versioned on-disk memo cache format
-// (`strt.engine.snapshot.v1`).
+// (`strt.engine.snapshot.v2`).
 //
 // A snapshot persists an engine::Workspace's fingerprint-keyed memo
 // families across process lifetimes: the interned curves themselves plus
 // the rbf/dbf (with their full horizon metadata, so horizon-extension
-// reuse works after reload), sbf, derived-op, and coarse-curve entries
-// that reference them.  Entries are keyed by name-blind structural
-// fingerprints, so a snapshot written by one server warms any other
-// server analyzing the same systems -- the cross-lifetime analogue of
-// the in-memory warm-batch speedup.
+// reuse works after reload), sbf and derived-op entries that reference
+// them.  Entries are keyed by name-blind structural fingerprints, so a
+// snapshot written by one server warms any other server analyzing the
+// same systems -- the cross-lifetime analogue of the in-memory
+// warm-batch speedup.
 //
 // Layout (all integers little-endian, fixed width):
 //
 //   header   8 bytes magic "STRTSNAP"
-//            u32 version (= 1)
+//            u32 version (= 2; any other version is rejected whole)
 //            u32 endianness tag (= 0x01020304, written natively: a
 //                byte-swapped reader sees 0x04030201 and rejects)
 //            u32 section count
 //            u32 reserved (= 0)
 //   section  u32 section id   (1 curves, 2 rbf, 3 dbf, 4 sbf,
-//                              5 derived, 6 coarse)
+//                              5 derived)
 //            u32 reserved (= 0)
 //            u64 payload length in bytes
 //            payload
@@ -55,7 +55,7 @@
 namespace strt::snapshot {
 
 inline constexpr std::string_view kMagic = "STRTSNAP";
-inline constexpr std::uint32_t kVersion = 1;
+inline constexpr std::uint32_t kVersion = 2;
 inline constexpr std::uint32_t kEndianTag = 0x01020304;
 
 /// Section ids, in the order sections are written.
@@ -65,8 +65,8 @@ enum class SectionId : std::uint32_t {
   kDbf = 3,
   kSbf = 4,
   kDerived = 5,
-  kCoarse = 6,
 };
+inline constexpr std::uint32_t kSectionCount = 5;
 
 /// One interned curve: canonical breakpoints, horizon, optional periodic
 /// tail, keyed by its content fingerprint.
@@ -112,18 +112,6 @@ struct DerivedRecord {
   friend bool operator==(const DerivedRecord&, const DerivedRecord&) = default;
 };
 
-/// One coarse-curve memo entry: (curve fp, granularity, side) -> curve
-/// plus its certified max error.
-struct CoarseRecord {
-  std::uint64_t fp = 0;
-  std::int64_t g = 0;
-  std::uint8_t side = 0;  // 0 = lower, 1 = upper
-  std::uint64_t curve_fp = 0;
-  std::int64_t max_error = 0;
-
-  friend bool operator==(const CoarseRecord&, const CoarseRecord&) = default;
-};
-
 /// A decoded (or to-be-encoded) snapshot: one vector per section.
 struct Snapshot {
   std::vector<CurveRecord> curves;
@@ -131,7 +119,6 @@ struct Snapshot {
   std::vector<WorkloadRecord> dbf;
   std::vector<SupplyRecord> sbf;
   std::vector<DerivedRecord> derived;
-  std::vector<CoarseRecord> coarse;
 
   /// Total entries across every section (the snapshot.entries gauge);
   /// workload records count one entry per cached horizon.
@@ -142,7 +129,7 @@ struct Snapshot {
 /// implemented in tools/check_snapshot.py -- keep the two in sync).
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes);
 
-/// Serializes `snap` into the v1 wire format.
+/// Serializes `snap` into the v2 wire format.
 [[nodiscard]] std::string encode(const Snapshot& snap);
 
 struct DecodeResult {
@@ -151,7 +138,7 @@ struct DecodeResult {
   std::string error;  // human-readable rejection reason when !ok
 };
 
-/// Parses the v1 wire format.  Never throws; any malformation (bad
+/// Parses the v2 wire format.  Never throws; any malformation (bad
 /// magic, wrong version or endianness, truncation, checksum mismatch,
 /// out-of-bounds count) yields ok = false and a reason.
 [[nodiscard]] DecodeResult decode(std::string_view bytes);

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "check/check.hpp"
-#include "core/certified.hpp"
 #include "engine/fingerprint.hpp"
 #include "engine/workspace.hpp"
 #include "obs/counters.hpp"
@@ -217,29 +216,6 @@ AnalysisOutcome run_request_core(engine::Workspace& ws,
   try {
     switch (req.kind) {
       case AnalysisKind::kStructural: {
-        if (eff.coarsen_g > Time(0)) {
-          // Coarse-first certified path: bracket the curve-based delay
-          // instead of exploring.  The deadline verdict is decided
-          // against the tightest vertex deadline (conservative: the
-          // curve bound dominates the structural one).
-          CertifiedDelayOptions co;
-          co.granularity = eff.coarsen_g;
-          Time dmin = Time::unbounded();
-          for (const DrtVertex& v : req.tasks[0].vertices()) {
-            dmin = min(dmin, v.deadline);
-          }
-          co.decide = dmin;
-          const CertifiedDelayResult c =
-              certified_curve_delay(ws, req.tasks[0], req.supply, co);
-          StructuralResult s;
-          s.delay = c.delay;
-          s.backlog = c.backlog;
-          s.busy_window = c.busy_window;
-          s.meets_vertex_deadlines = c.meets_deadline.value_or(false);
-          out.certified_error = c.certified_error;
-          out.result = std::move(s);
-          break;
-        }
         StructuralOptions o;
         o.common() = eff;
         o.prune = req.prune;
@@ -377,9 +353,6 @@ void AnalysisOutcome::append_to_report(obs::RunReport& report) const {
     put_time(report, "structural.busy_window", s->busy_window);
     report.put("structural.meets_vertex_deadlines",
                s->meets_vertex_deadlines);
-    if (certified_error) {
-      put_time(report, "structural.certified_error", *certified_error);
-    }
     report.put("explore.aborted", s->stats.aborted);
   } else if (const FpResult* f = fp()) {
     report.put("fp.overloaded", f->overloaded);

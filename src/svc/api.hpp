@@ -200,12 +200,6 @@ struct AnalysisOutcome {
   check::CheckResult diagnostics;
   AnalysisResult result;
   OutcomeStats stats;
-  /// Set when the run used the coarse-first certified path (structural
-  /// requests with coarsen_g > 0): the certified width of the bracket
-  /// around the exact curve-based delay (0 when the driver fell back to
-  /// the exact analysis).  The reported delay is the bracket's safe
-  /// upper end.
-  std::optional<Time> certified_error;
   /// The request's span tree: queue -> request { validate, run { explore,
   /// minplus.conv, ... } }, sorted by start time.  Always present; see
   /// obs/trace.hpp for the export formats.

@@ -105,7 +105,7 @@ struct ServiceOptions {
   /// after every dispatch round and once more at shutdown.  Telemetry
   /// never affects analysis results (bit-identity contract).
   std::string telemetry_dir;
-  /// Persistent warm-start cache (strt.engine.snapshot.v1).  Empty (the
+  /// Persistent warm-start cache (strt.engine.snapshot.v2).  Empty (the
   /// default) resolves the STRT_SNAPSHOT environment variable; when the
   /// resolved path is non-empty the constructor loads it into the
   /// shared workspace (a missing or rejected file cold-starts clean)

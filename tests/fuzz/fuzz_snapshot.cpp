@@ -1,4 +1,4 @@
-// Fuzz harness for the strt.engine.snapshot.v1 decoder.
+// Fuzz harness for the strt.engine.snapshot.v2 decoder.
 //
 // decode() promises: arbitrary bytes either decode cleanly (ok, empty
 // error) or are rejected whole (not ok, non-empty error, nothing
@@ -39,8 +39,7 @@ int run_one(const std::uint8_t* data, std::size_t size) {
       !(second.snap.rbf == first.snap.rbf) ||
       !(second.snap.dbf == first.snap.dbf) ||
       !(second.snap.sbf == first.snap.sbf) ||
-      !(second.snap.derived == first.snap.derived) ||
-      !(second.snap.coarse == first.snap.coarse)) {
+      !(second.snap.derived == first.snap.derived)) {
     std::abort();
   }
   return 0;

@@ -1,27 +1,17 @@
-// Property suite for the SoA curve kernels and the certified coarsening.
+// Property suite for the SoA curve kernels.
 //
 // The pre-refactor AoS kernels (bench/legacy_curves, the same algorithms
 // the curve layer shipped before the SegmentStore overhaul) serve as the
 // oracle: on random curves every rewritten kernel must reproduce the old
 // results bit for bit -- same breakpoints, same horizons, same throws.
-// On top of that the suite pins the coarsening contract (coarse upper >=
-// exact >= coarse lower everywhere, certified errors exact) and the
-// certified-bound driver's bracket around the exact curve delay.
 
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <stdexcept>
-#include <vector>
 
-#include "core/certified.hpp"
-#include "core/curve_based.hpp"
-#include "curves/coarsen.hpp"
 #include "curves/minplus.hpp"
 #include "curves/staircase.hpp"
-#include "engine/workspace.hpp"
 #include "legacy_curves.hpp"
-#include "resource/supply.hpp"
 #include "testutil.hpp"
 
 namespace strt {
@@ -190,170 +180,6 @@ TEST(CurveKernels, HdevResumeMatchesFullRecompute) {
           << "resumed hdev at horizon " << h.count();
     }
   }
-}
-
-TEST(CurveKernels, CoarsenSoundnessAndExactError) {
-  Rng rng(909);
-  for (int trial = 0; trial < 30; ++trial) {
-    const Time h(rng.uniform_int(1, 90));
-    Staircase f = random_staircase(rng, h, 7, 0.5);
-    if (rng.chance(0.3)) f = f.with_tail(full_tail(f));
-    const std::vector<std::int64_t> grids = {1, 2,  3,
-                                             5, 8, 16, h.count() + 7};
-    for (const std::int64_t gv : grids) {
-      const Time g(gv);
-      const CoarseCurve up = coarsen_upper(f, g);
-      const CoarseCurve lo = coarsen_lower(f, g);
-      ASSERT_EQ(up.curve.horizon(), h);
-      ASSERT_EQ(lo.curve.horizon(), h);
-      Work worst_up(0);
-      Work worst_lo(0);
-      for (Time t(0); t <= h; t = t + Time(1)) {
-        const Work fv = f.value(t);
-        const Work uv = up.curve.value(t);
-        const Work lv = lo.curve.value(t);
-        ASSERT_GE(uv, fv) << "upper domination at t=" << t.count();
-        ASSERT_LE(lv, fv) << "lower domination at t=" << t.count();
-        worst_up = max(worst_up, uv - fv);
-        worst_lo = max(worst_lo, fv - lv);
-      }
-      // The certified errors are exact, not just sound: they equal the
-      // worst pointwise deviation.
-      EXPECT_EQ(up.max_error, worst_up) << "g=" << gv;
-      EXPECT_EQ(lo.max_error, worst_lo) << "g=" << gv;
-      if (g == Time(1)) {
-        EXPECT_EQ(up.curve, f.without_tail());
-        EXPECT_EQ(lo.curve, f.without_tail());
-        EXPECT_EQ(up.max_error, Work(0));
-        EXPECT_EQ(lo.max_error, Work(0));
-      }
-    }
-  }
-}
-
-TEST(CurveKernels, WorkspaceCoarseMemoHitsAndBitIdentity) {
-  Rng rng(42);
-  const Staircase f = random_staircase(rng, Time(64), 5, 0.4);
-
-  engine::Workspace cached(true);
-  const auto first = cached.coarse_upper(f, Time(8));
-  const auto second = cached.coarse_upper(f, Time(8));
-  EXPECT_EQ(first.curve.get(), second.curve.get());
-  EXPECT_EQ(first.max_error, second.max_error);
-  EXPECT_GE(cached.stats().coarse_hits, 1u);
-
-  engine::Workspace uncached(false);
-  const auto fresh = uncached.coarse_upper(f, Time(8));
-  EXPECT_EQ(*fresh.curve, *first.curve);
-  EXPECT_EQ(fresh.max_error, first.max_error);
-  EXPECT_EQ(uncached.stats().coarse_hits, 0u);
-
-  // Different granularity or side is a different memo family.
-  const auto lower = cached.coarse_lower(f, Time(8));
-  const auto coarser = cached.coarse_upper(f, Time(16));
-  EXPECT_NE(lower.curve.get(), first.curve.get());
-  EXPECT_NE(coarser.curve.get(), first.curve.get());
-}
-
-TEST(CurveKernels, CertifiedBracketContainsExactDelay) {
-  const std::vector<DrtTask> tasks = {test::small_task(),
-                                      test::clean_task()};
-  const std::vector<Supply> supplies = {
-      Supply::tdma(Time(3), Time(8)),
-      Supply::periodic(Time(4), Time(9)),
-      Supply::dedicated(1),
-  };
-  for (const DrtTask& task : tasks) {
-    for (const Supply& supply : supplies) {
-      engine::Workspace ws;
-      const CurveResult exact = curve_delay(ws, task, supply);
-      for (const std::int64_t gv : {2, 4, 8, 16, 64}) {
-        CertifiedDelayOptions opts;
-        opts.granularity = Time(gv);
-        const CertifiedDelayResult c =
-            certified_curve_delay(ws, task, supply, opts);
-        if (exact.delay.is_unbounded()) {
-          // Overload: the driver must agree, exactly, without coarse work.
-          EXPECT_TRUE(c.delay.is_unbounded());
-          EXPECT_TRUE(c.exact);
-          EXPECT_EQ(c.certified_error, Time(0));
-          continue;
-        }
-        ASSERT_FALSE(c.delay.is_unbounded());
-        EXPECT_LE(c.delay_lower, exact.delay) << "g=" << gv;
-        EXPECT_GE(c.delay, exact.delay) << "g=" << gv;
-        EXPECT_EQ(c.certified_error, c.delay - c.delay_lower);
-        EXPECT_GE(c.backlog, exact.backlog) << "g=" << gv;
-        if (c.exact) {
-          EXPECT_EQ(c.delay, exact.delay);
-          EXPECT_EQ(c.certified_error, Time(0));
-        }
-      }
-    }
-  }
-}
-
-TEST(CurveKernels, CertifiedGranularityOneIsExact) {
-  engine::Workspace ws;
-  const DrtTask task = test::small_task();
-  const Supply supply = Supply::dedicated(1);
-  const CurveResult exact = curve_delay(ws, task, supply);
-  CertifiedDelayOptions opts;
-  opts.granularity = Time(1);
-  const CertifiedDelayResult c = certified_curve_delay(ws, task, supply, opts);
-  EXPECT_TRUE(c.exact);
-  EXPECT_EQ(c.delay, exact.delay);
-  EXPECT_EQ(c.delay_lower, exact.delay);
-  EXPECT_EQ(c.certified_error, Time(0));
-  EXPECT_EQ(c.backlog, exact.backlog);
-}
-
-TEST(CurveKernels, CertifiedDecisionMatchesExactVerdict) {
-  const DrtTask task = test::small_task();
-  const Supply supply = Supply::dedicated(1);
-  engine::Workspace ws;
-  const CurveResult exact = curve_delay(ws, task, supply);
-  ASSERT_FALSE(exact.delay.is_unbounded());
-
-  // A threshold at the exact delay must be decided "meets"; one just
-  // below it must be decided "misses" -- whatever granularity the driver
-  // starts from.
-  for (const std::int64_t gv : {2, 8, 64}) {
-    CertifiedDelayOptions opts;
-    opts.granularity = Time(gv);
-    opts.decide = exact.delay;
-    const CertifiedDelayResult yes =
-        certified_curve_delay(ws, task, supply, opts);
-    ASSERT_TRUE(yes.meets_deadline.has_value());
-    EXPECT_TRUE(*yes.meets_deadline) << "g=" << gv;
-    EXPECT_LE(yes.delay, exact.delay) << "decide bound must certify";
-
-    if (exact.delay > Time(0)) {
-      opts.decide = exact.delay - Time(1);
-      const CertifiedDelayResult no =
-          certified_curve_delay(ws, task, supply, opts);
-      ASSERT_TRUE(no.meets_deadline.has_value());
-      EXPECT_FALSE(*no.meets_deadline) << "g=" << gv;
-      EXPECT_GT(no.delay_lower, *opts.decide);
-    }
-  }
-}
-
-TEST(CurveKernels, CertifiedToleranceStopsEarly) {
-  const DrtTask task = test::clean_task();
-  const Supply supply = Supply::periodic(Time(4), Time(9));
-  engine::Workspace ws;
-  const CurveResult exact = curve_delay(ws, task, supply);
-
-  CertifiedDelayOptions opts;
-  opts.granularity = Time(64);
-  opts.tolerance = Time(2);
-  const CertifiedDelayResult c = certified_curve_delay(ws, task, supply, opts);
-  if (!c.exact) {
-    EXPECT_LE(c.certified_error, Time(2));
-  }
-  EXPECT_LE(c.delay_lower, exact.delay);
-  EXPECT_GE(c.delay, exact.delay);
 }
 
 }  // namespace

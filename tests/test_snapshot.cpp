@@ -1,12 +1,13 @@
 // strt::snapshot + engine::Workspace persistence and eviction.
 //
 // Pins the warm-start contracts of the persistent snapshot
-// (strt.engine.snapshot.v1):
+// (strt.engine.snapshot.v2):
 //
 //   * Codec round-trip: encode() -> decode() reproduces every section
 //     exactly, and the writer's output is deterministic.
-//   * Rejection: a flipped magic, an unknown version, a corrupted
-//     payload byte (checksum), or a truncated file is rejected whole --
+//   * Rejection: a flipped magic, an unknown version (including a file
+//     written by the previous v1 format), a corrupted payload byte
+//     (checksum), or a truncated file is rejected whole --
 //     load_snapshot() returns false, bumps snapshot.rejected, applies
 //     nothing, never throws -- and the workspace cold-starts clean.
 //   * Warm-start bit-identity: outcomes of all six analysis kinds are
@@ -179,7 +180,6 @@ snapshot::Snapshot sample_snapshot() {
   snap.dbf = {{0xbbb, {{16, 0x2222}, {40, 0x1111}}}};
   snap.sbf = {{"tdma slot 7 cycle 10", 40, 0x1111}};
   snap.derived = {{0, 0x1111, 0x2222, 0x2222}};
-  snap.coarse = {{0x1111, 8, 0, 0x2222, 12}};
   return snap;
 }
 
@@ -193,7 +193,6 @@ TEST(SnapshotCodec, RoundTripReproducesEverySection) {
   EXPECT_EQ(back.snap.dbf, snap.dbf);
   EXPECT_EQ(back.snap.sbf, snap.sbf);
   EXPECT_EQ(back.snap.derived, snap.derived);
-  EXPECT_EQ(back.snap.coarse, snap.coarse);
   EXPECT_EQ(back.snap.entry_count(), snap.entry_count());
   // Deterministic bytes: encoding twice is bit-identical (CI diffs
   // snapshot files across runs).
@@ -362,6 +361,14 @@ TEST(SnapshotWarmStart, RejectedAndMissingFilesColdStartClean) {
   expect_cold_start(corrupt, "flipped checksum byte");
 
   expect_cold_start("short", "garbage file");
+
+  // A v1 file (it still carries the retired section 6) is an older
+  // version, not a partially readable one: rejected whole.
+  const std::string v1 =
+      slurp_file(std::string(STRT_SNAPSHOT_CORPUS) + "/rejected_v1.bin");
+  ASSERT_GT(v1.size(), 32u);
+  ASSERT_EQ(v1[8], 1);  // version field
+  expect_cold_start(v1, "previous format version");
 
   // Missing file: quiet cold start, no rejection counted.
   const std::uint64_t rejections = rejected.value();

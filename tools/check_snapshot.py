@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a strt.engine.snapshot.v1 file (engine warm-start cache).
+"""Validate a strt.engine.snapshot.v2 file (engine warm-start cache).
 
 Usage: check_snapshot.py SNAPSHOT_FILE [--min-entries N]
 
@@ -8,10 +8,10 @@ src/snapshot/snapshot.hpp, with no dependencies beyond the standard
 library, so CI can verify what strt_serve / analyze_file wrote without
 rebuilding any C++:
 
-  header     magic "STRTSNAP", u32 version == 1, u32 endianness tag ==
-             0x01020304 (little-endian), u32 section count <= 6,
+  header     magic "STRTSNAP", u32 version == 2, u32 endianness tag ==
+             0x01020304 (little-endian), u32 section count <= 5,
              u32 reserved == 0.
-  sections   ids 1..6 (curves, rbf, dbf, sbf, derived, coarse), no
+  sections   ids 1..5 (curves, rbf, dbf, sbf, derived), no
              duplicates, exact payload framing, FNV-1a 64 checksum over
              each payload, no trailing bytes after the last section.
   records    every section payload parses to its record layout exactly
@@ -21,9 +21,9 @@ rebuilding any C++:
              every cached-curve fingerprint (the curve_fp a memo entry
              resolves to) is present in the curves section, and a
              workload entry's horizon matches its curve's horizon.
-             Memo-key components (derived-op operands, a coarse entry's
-             source curve) are opaque and are NOT required to be
-             present -- they identify inputs that need not be interned.
+             Memo-key components (derived-op operands) are opaque and
+             are NOT required to be present -- they identify inputs
+             that need not be interned.
 
 With --min-entries N the snapshot must carry at least N entries in
 total (workload records count one entry per cached horizon) -- CI uses
@@ -37,10 +37,10 @@ import sys
 from pathlib import Path
 
 MAGIC = b"STRTSNAP"
-VERSION = 1
+VERSION = 2
 ENDIAN_TAG = 0x01020304
 SECTION_NAMES = {1: "curves", 2: "rbf", 3: "dbf", 4: "sbf",
-                 5: "derived", 6: "coarse"}
+                 5: "derived"}
 
 
 def fail(msg):
@@ -198,26 +198,6 @@ def parse_derived(payload, where):
     return refs, count
 
 
-def parse_coarse(payload, where):
-    c = Cursor(payload, where)
-    count = c.u64()
-    refs = []
-    for i in range(count):
-        c.u64()  # source curve fp -- opaque memo-key component
-        g = c.i64()
-        if g < 1:
-            fail(f"{where}: record {i} has granularity {g} < 1")
-        side = c.u8()
-        if side not in (0, 1):
-            fail(f"{where}: record {i} has side {side}, expected 0 or 1")
-        refs.append((c.u64(), None))  # cached coarse curve
-        max_error = c.i64()
-        if max_error < 0:
-            fail(f"{where}: record {i} has negative max error")
-    c.done()
-    return refs, count
-
-
 def check_snapshot(path, min_entries=0):
     data = path.read_bytes()
     if len(data) < len(MAGIC) + 16:
@@ -271,8 +251,7 @@ def check_snapshot(path, min_entries=0):
     refs = []
     entries = n_curves
     for sec_id, parser in ((2, parse_workload), (3, parse_workload),
-                           (4, parse_sbf), (5, parse_derived),
-                           (6, parse_coarse)):
+                           (4, parse_sbf), (5, parse_derived)):
         sec_refs, sec_entries = parser(
             payloads.get(sec_id, b"\0" * 8),
             f"{path}: {SECTION_NAMES[sec_id]}")
