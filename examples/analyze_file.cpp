@@ -13,7 +13,8 @@
 //
 // `--no-cache` disables the engine workspace memoization (results are
 // bit-identical; useful for ablations) and `--threads N` pins the exec
-// pool size (0 = hardware default).
+// pool size (0 = hardware default).  A thread count or deadline that is
+// not a whole non-negative number is rejected with exit code 2.
 //
 // `--snapshot PATH` warm-starts the workspace from a persistent snapshot
 // (strt.engine.snapshot.v2; missing or rejected files cold-start clean)
@@ -129,8 +130,13 @@ int main(int argc, char** argv) {
         std::cerr << "--threads requires a count\n";
         return 2;
       }
-      exec::set_thread_count(static_cast<std::size_t>(
-          std::stoull(argv[++i])));
+      const std::string text = argv[++i];
+      const std::optional<std::int64_t> n = cfg::parse_int(text, 0);
+      if (!n) {
+        std::cerr << "--threads: cannot parse '" << text << "'\n";
+        return 2;
+      }
+      exec::set_thread_count(static_cast<std::size_t>(*n));
     } else {
       args.emplace_back(arg);
     }
@@ -146,7 +152,14 @@ int main(int argc, char** argv) {
     buffer << file.rdbuf();
     task_text = buffer.str();
     supply_text = args[1];
-    if (args.size() >= 3) deadline = Time(std::stoll(args[2]));
+    if (args.size() >= 3) {
+      const std::optional<std::int64_t> d = cfg::parse_int(args[2], 0);
+      if (!d) {
+        std::cerr << "deadline: cannot parse '" << args[2] << "'\n";
+        return 2;
+      }
+      deadline = Time(*d);
+    }
   } else if (!args.empty()) {
     std::cerr << "usage: analyze_file <task-file> \"<supply spec>\" "
                  "[deadline] [--report out.json] [--no-cache] "

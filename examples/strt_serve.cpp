@@ -30,14 +30,15 @@
 // status "invalid" carrying the parse diagnostics.
 //
 // Service knobs: --queue N (admission queue bound), --batch N (dispatch
-// window), --shards N (worker shard count; defaults to the STRT_SHARDS
-// environment variable, else 1), --no-batch (no fingerprint grouping),
-// --serial (no parallel batch tail), --no-cache (cold workspace
-// ablation), --threads N, --snapshot PATH (persistent warm-start cache:
+// window), --no-batch (no fingerprint grouping), --serial (no parallel
+// batch tail), --no-cache (cold workspace ablation), --threads N (0 =
+// hardware default), --snapshot PATH (persistent warm-start cache:
 // loaded at startup, saved crash-safe at every drain and at shutdown;
 // defaults to STRT_SNAPSHOT), --cache-budget BYTES (interned-curve bytes
 // budget with K/M/G suffixes, e.g. 64M; defaults to STRT_CACHE_BUDGET).
 // Results are bit-identical across all of these; only the timings move.
+// A count that is not a whole number in range (e.g. --queue abc or
+// --queue -1) is rejected with exit code 2.
 // The summary report line embeds the resolved effective configuration
 // under "config" (flag > STRT_* env > default, per knob).
 //
@@ -46,7 +47,6 @@
 // inversion is also a nonzero exit.  The CI race leg serves the demo
 // stream this way and requires "0 cycle(s)".
 
-#include <algorithm>
 #include <fstream>
 #include <future>
 #include <iostream>
@@ -122,6 +122,15 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto next_count = [&](std::int64_t min) -> std::size_t {
+      const std::string text = next_value("a count");
+      const std::optional<std::int64_t> n = cfg::parse_int(text, min);
+      if (!n) {
+        std::cerr << arg << ": cannot parse '" << text << "'\n";
+        std::exit(2);
+      }
+      return static_cast<std::size_t>(*n);
+    };
     if (arg == "--report") {
       report_path = next_value("a file path");
     } else if (arg == "--format") {
@@ -129,11 +138,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--task-dir") {
       task_dir = next_value("a directory");
     } else if (arg == "--queue") {
-      sopts.queue_capacity = std::stoull(next_value("a count"));
+      sopts.queue_capacity = next_count(/*min=*/1);
     } else if (arg == "--batch") {
-      sopts.max_batch = std::stoull(next_value("a count"));
-    } else if (arg == "--shards") {
-      sopts.shards = std::stoull(next_value("a count"));
+      sopts.max_batch = next_count(/*min=*/1);
     } else if (arg == "--no-batch") {
       sopts.batch_by_fingerprint = false;
     } else if (arg == "--serial") {
@@ -151,7 +158,7 @@ int main(int argc, char** argv) {
       }
       sopts.cache_bytes_budget = *bytes;
     } else if (arg == "--threads") {
-      exec::set_thread_count(std::stoull(next_value("a count")));
+      exec::set_thread_count(next_count(/*min=*/0));
     } else if (arg == "--lockdep-report") {
       // Print the lock-order analysis summary after the run.  Only a
       // -DSTRT_LOCKDEP=ON build records acquisitions; elsewhere the
@@ -166,7 +173,7 @@ int main(int argc, char** argv) {
       std::cerr << "unknown flag '" << arg << "'\n"
                 << "usage: strt_serve [requests-file] [--format jsonl|csv] "
                    "[--task-dir DIR] [--report out.json] [--queue N] "
-                   "[--batch N] [--shards N] [--no-batch] [--serial] "
+                   "[--batch N] [--no-batch] [--serial] "
                    "[--no-cache] [--snapshot PATH] [--cache-budget BYTES] "
                    "[--threads N] [--telemetry-dir DIR] "
                    "[--lockdep-report]\n";
@@ -201,20 +208,18 @@ int main(int argc, char** argv) {
   // Serve everything through one long-lived service: submit in input
   // order (blocking admission = backpressure), collect in input order.
   // Dispatch starts paused so the whole stream lands in one dispatch
-  // window and fingerprint batching is visible; once any shard's ring
-  // could be about to fill -- every request might route to one shard --
-  // dispatch resumes (a blocking submit on a paused full ring would
+  // window and fingerprint batching is visible; once the queue is full
+  // dispatch resumes (a blocking submit on a paused full queue would
   // never unblock).
   sopts.start_paused = true;
   svc::Service service(sopts);
-  const std::size_t per_shard_capacity = std::max<std::size_t>(
-      1, service.options().queue_capacity / service.shard_count());
+  const std::size_t capacity = service.options().queue_capacity;
   std::vector<std::optional<std::future<svc::AnalysisOutcome>>> futures;
   futures.reserve(parses.size());
   std::size_t queued = 0;
   for (const svc::RequestParse& parse : parses) {
     if (parse.request) {
-      if (queued == per_shard_capacity) service.resume();
+      if (queued == capacity) service.resume();
       futures.push_back(service.submit(*parse.request));
       ++queued;
     } else {
@@ -279,7 +284,6 @@ int main(int argc, char** argv) {
   summary.put("deadline_expired", expired);
   summary.put("cancelled", cancelled);
   summary.put("errors", errors);
-  summary.put("svc.shards", static_cast<std::int64_t>(service.shard_count()));
   summary.put("svc.submitted", stats.submitted);
   summary.put("svc.served", stats.served);
   summary.put("svc.batches", stats.batches);
@@ -307,7 +311,7 @@ int main(int argc, char** argv) {
               << "reports appended to " << report_path << '\n';
   }
   // The lock-order verdict covers everything above: service lifecycle,
-  // sharded dispatch, workspace stripes, telemetry export.  A detected
+  // dispatch, workspace stripes, telemetry export.  A detected
   // inversion is a hard failure, same as an analysis error.
   const race::LockdepStats lockdep = race::lockdep_stats();
   if (lockdep_report) {

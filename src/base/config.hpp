@@ -18,6 +18,8 @@
 //   * get_int:   unset/empty/non-numeric env, or a value below `min`,
 //     falls back to the default.  Flags below `min` fall through to the
 //     env/default layers (a flag of 0 conventionally means "unset").
+//     Env values go through parse_int(), which is also the one checked
+//     parser the command-line tools use for their count flags.
 //   * get_bytes: like get_int but accepts K/M/G suffixes ("64M").
 //   * get_string: unset/empty env -> default.
 //
@@ -30,6 +32,7 @@
 // recurse.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
@@ -56,7 +59,7 @@ enum class Source : std::uint8_t { kFlag, kEnv, kDefault };
   return "default";
 }
 
-/// One recorded resolution: the env-style key (e.g. "STRT_SHARDS"), the
+/// One recorded resolution: the env-style key (e.g. "STRT_THREADS"), the
 /// effective value rendered as a string, and the layer that supplied it.
 struct Resolution {
   std::string key;
@@ -106,6 +109,19 @@ inline void record(std::string_view key, std::string value, Source source) {
   return value;
 }
 
+/// Parses the whole of `text` as a base-10 integer no smaller than `min`.
+/// nullopt on empty or non-numeric text, a trailing character, overflow,
+/// or a value below `min` -- so "abc", "4x" and, for a count, "-1" are
+/// all rejected rather than wrapped or truncated.
+[[nodiscard]] inline std::optional<std::int64_t> parse_int(
+    std::string_view text, std::int64_t min) {
+  std::int64_t value = 0;
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc() || ptr != last || value < min) return std::nullopt;
+  return value;
+}
+
 /// Integer knob with a floor.  A flag below `min` counts as unset (the
 /// conventional 0 = "resolve from the environment"); an env value that
 /// fails to parse or sits below `min` falls back to the default.
@@ -119,10 +135,8 @@ inline void record(std::string_view key, std::string value, Source source) {
     source = Source::kFlag;
   } else if (const char* env = std::getenv(std::string(key).c_str());
              env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const long long v = std::strtoll(env, &end, 10);
-    if (end != env && *end == '\0' && v >= min) {
-      value = static_cast<std::int64_t>(v);
+    if (const std::optional<std::int64_t> v = parse_int(env, min)) {
+      value = *v;
       source = Source::kEnv;
     }
   }
@@ -164,7 +178,7 @@ inline void record(std::string_view key, std::string value, Source source) {
 [[nodiscard]] std::vector<Resolution> effective_config();
 
 /// The same snapshot rendered as a JSON object:
-///   {"STRT_SHARDS":{"value":"4","source":"env"}, ...}
+///   {"STRT_THREADS":{"value":"4","source":"env"}, ...}
 /// (for embedding under a run report's "config" key).
 [[nodiscard]] std::string effective_config_json();
 

@@ -65,7 +65,7 @@ class LookupTimer {
 
 /// Stripes per memo-table family (power of two; fp & (kStripes - 1)
 /// selects).  16 stripes keep the tables effectively contention-free for
-/// any plausible shard count while costing ~16 mutexes per family.
+/// any plausible thread count while costing ~16 mutexes per family.
 inline constexpr std::size_t kStripes = 16;
 
 /// Scoped stripe lock: MutexLock plus acquisition timing into the

@@ -29,16 +29,16 @@
 //     -- are memoized per (curve, value) via inverse_of().
 //
 // Concurrency: a Workspace is safe to share across strt::exec parallel
-// regions and across svc::Service shard workers.  Every memo-table
-// family is striped: 16 (mutex, table) pairs selected by the key's
-// fingerprint hash, so lookups about different systems almost never
-// share a lock.  A probe takes only its stripe's mutex; computations run
-// outside the locks, so two threads may race to fill the same slot --
-// both compute the identical canonical artifact and the intern table
-// collapses the results (first insert wins), keeping cache-on results
-// bit-identical to cache-off, to STRT_THREADS=1 runs, and to any shard
-// count.  Stripe acquisition time is recorded in the cache.lock_wait_ns
-// histogram, so residual contention is measurable.
+// regions and with the svc::Service worker.  Every memo-table family is
+// striped: 16 (mutex, table) pairs selected by the key's fingerprint
+// hash, so lookups about different systems almost never share a lock.
+// A probe takes only its stripe's mutex; computations run outside the
+// locks, so two threads may race to fill the same slot -- both compute
+// the identical canonical artifact and the intern table collapses the
+// results (first insert wins), keeping cache-on results bit-identical to
+// cache-off and to STRT_THREADS=1 runs.  Stripe acquisition time is
+// recorded in the cache.lock_wait_ns histogram, so residual contention
+// is measurable.
 //
 // Switching off: Workspace(false) -- or the environment variable
 // STRT_CACHE=0 for workspaces built with the default constructor -- turns

@@ -99,13 +99,13 @@ HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot out;
   const MutexLock lock(impl_->mu);
   for (const auto& shard : impl_->shards) {
-    std::uint64_t shard_count = 0;
+    std::uint64_t recorded = 0;
     for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
       const std::uint64_t n = shard->buckets[i].load(std::memory_order_relaxed);
       out.buckets[i] += n;
-      shard_count += n;
+      recorded += n;
     }
-    out.count += shard_count;
+    out.count += recorded;
     out.sum += shard->sum.load(std::memory_order_relaxed);
     out.max =
         std::max(out.max, shard->max.load(std::memory_order_relaxed));

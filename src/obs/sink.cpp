@@ -28,52 +28,24 @@ std::string prometheus_name(std::string_view name) {
   return out;
 }
 
-namespace {
-
-/// A registry name split at its optional `{label="value",...}` suffix:
-/// the base becomes the sanitized metric family, the label body (without
-/// braces) passes through verbatim.  Labeled cells like
-/// svc.shard_served{shard="0"} thus export as one labeled series per
-/// shard under a single family, rather than having the braces mangled to
-/// underscores.
-struct SplitName {
-  std::string family;
-  std::string labels;  // without braces; empty when unlabeled
-};
-
-SplitName split_labels(std::string_view name) {
-  const std::size_t brace = name.find('{');
-  if (brace == std::string_view::npos || name.back() != '}') {
-    return {prometheus_name(name), {}};
-  }
-  return {prometheus_name(name.substr(0, brace)),
-          std::string(name.substr(brace + 1, name.size() - brace - 2))};
-}
-
-}  // namespace
-
 std::string prometheus_exposition() {
-  // Counters and gauges are flattened into scalar rows and sorted by
-  // family, so samples of one family stay contiguous under a single
-  // `# TYPE` line however their labeled cells interleave in the registry.
+  // Counters and gauges (plus each gauge's `_max` high-water row) are
+  // flattened into scalar rows and emitted sorted by family, each under
+  // its own `# TYPE` line; histograms follow, sorted the same way.
   struct Scalar {
     std::string family;
-    std::string labels;
     const char* type;
     std::string value;
   };
   std::vector<Scalar> scalars;
   for (const CounterSample& c : Registry::global().counters()) {
-    SplitName n = split_labels(c.name);
-    scalars.push_back({std::move(n.family), std::move(n.labels), "counter",
-                       std::to_string(c.value)});
+    scalars.push_back(
+        {prometheus_name(c.name), "counter", std::to_string(c.value)});
   }
   for (const GaugeSample& g : Registry::global().gauges()) {
-    SplitName n = split_labels(g.name);
-    scalars.push_back(
-        {n.family, n.labels, "gauge", std::to_string(g.value)});
-    scalars.push_back({n.family + "_max", std::move(n.labels), "gauge",
-                       std::to_string(g.max_value)});
+    const std::string family = prometheus_name(g.name);
+    scalars.push_back({family, "gauge", std::to_string(g.value)});
+    scalars.push_back({family + "_max", "gauge", std::to_string(g.max_value)});
   }
   std::stable_sort(scalars.begin(), scalars.end(),
                    [](const Scalar& a, const Scalar& b) {
@@ -81,56 +53,36 @@ std::string prometheus_exposition() {
                    });
 
   std::string out;
-  std::string_view last_family;
   for (const Scalar& s : scalars) {
-    if (s.family != last_family) {
-      out += "# TYPE " + s.family + " " + s.type + "\n";
-      last_family = s.family;
-    }
-    out += s.family;
-    if (!s.labels.empty()) out += "{" + s.labels + "}";
-    out += " " + s.value + "\n";
+    out += "# TYPE " + s.family + " " + s.type + "\n";
+    out += s.family + " " + s.value + "\n";
   }
 
   std::vector<HistogramSample> hists = Registry::global().histograms();
-  struct HRow {
-    SplitName n;
-    const HistogramSample* h;
-  };
-  std::vector<HRow> hrows;
+  std::vector<std::pair<std::string, const HistogramSample*>> hrows;
   hrows.reserve(hists.size());
-  for (const HistogramSample& h : hists) hrows.push_back({split_labels(h.name), &h});
+  for (const HistogramSample& h : hists) {
+    hrows.emplace_back(prometheus_name(h.name), &h);
+  }
   std::stable_sort(hrows.begin(), hrows.end(),
-                   [](const HRow& a, const HRow& b) {
-                     return a.n.family < b.n.family;
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
                    });
-  last_family = {};
-  for (const HRow& r : hrows) {
-    const std::string& name = r.n.family;
-    const HistogramSample& h = *r.h;
-    if (name != last_family) {
-      out += "# TYPE " + name + " histogram\n";
-      last_family = name;
-    }
-    // Extra labels go before `le` inside the bucket braces.
-    const std::string bucket_prefix =
-        r.n.labels.empty() ? "" : r.n.labels + ",";
-    const std::string suffix =
-        r.n.labels.empty() ? "" : "{" + r.n.labels + "}";
+  for (const auto& [name, hp] : hrows) {
+    const HistogramSample& h = *hp;
+    out += "# TYPE " + name + " histogram\n";
     std::uint64_t cumulative = 0;
     for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
       if (h.snapshot.buckets[i] == 0) continue;
       cumulative += h.snapshot.buckets[i];
-      out += name + "_bucket{" + bucket_prefix + "le=\"" +
+      out += name + "_bucket{le=\"" +
              std::to_string(histogram_bucket_upper(i)) + "\"} " +
              std::to_string(cumulative) + "\n";
     }
-    out += name + "_bucket{" + bucket_prefix + "le=\"+Inf\"} " +
-           std::to_string(h.snapshot.count) + "\n";
-    out += name + "_sum" + suffix + " " + std::to_string(h.snapshot.sum) +
+    out += name + "_bucket{le=\"+Inf\"} " + std::to_string(h.snapshot.count) +
            "\n";
-    out += name + "_count" + suffix + " " +
-           std::to_string(h.snapshot.count) + "\n";
+    out += name + "_sum " + std::to_string(h.snapshot.sum) + "\n";
+    out += name + "_count " + std::to_string(h.snapshot.count) + "\n";
   }
   return out;
 }
@@ -139,8 +91,8 @@ struct TelemetrySink::Impl {
   mutable Mutex mu;
   std::vector<RequestTrace> traces STRT_GUARDED_BY(mu);
   std::uint64_t flushes STRT_GUARDED_BY(mu) = 0;
-  /// Serializes whole flushes: service shards flush concurrently, and
-  /// the tmp+rename, append, and rewrite steps of two flushes must not
+  /// Serializes whole flushes: any thread may flush, and the
+  /// tmp+rename, append, and rewrite steps of two flushes must not
   /// interleave on the same files.
   Mutex flush_mu;
 };

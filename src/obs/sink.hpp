@@ -16,13 +16,10 @@
 //                  every request trace added so far; loads directly in
 //                  chrome://tracing or https://ui.perfetto.dev.
 //
-// Labels: a registry name carrying a `{label="value",...}` suffix (the
-// service's per-shard cells, e.g. svc.shard_served{shard="0"}) exports
-// as one labeled series per cell under a single metric family, with the
-// `# TYPE` line emitted once per family; for labeled histograms the
-// labels join `le` inside the bucket braces.
+// Families are sorted by name, each under one `# TYPE` line; histogram
+// buckets carry the `le` label.
 //
-// The sink is thread-safe: service shard workers flush per round while
+// The sink is thread-safe: the service worker flushes per round while
 // others add traces; whole flushes are serialized internally, so
 // concurrent flushers never interleave their file writes.  Flushing with
 // observability disabled still writes files (the snapshots are just
@@ -43,8 +40,6 @@ namespace strt::obs {
 [[nodiscard]] std::string prometheus_name(std::string_view name);
 
 /// One Registry snapshot as a Prometheus text exposition document.
-/// Registry names with a `{label="value",...}` suffix become labeled
-/// series of the (sanitized) base family.
 [[nodiscard]] std::string prometheus_exposition();
 
 class TelemetrySink {

@@ -1,11 +1,11 @@
 // strt::race -- yield-point hooks for the deterministic interleaving
 // explorer (race/schedule.hpp).
 //
-// The concurrency hot spots of the library (the MPMC admission ring, the
-// service worker loop's shutdown/drain transitions, strt::Mutex /
-// strt::CondVar) are sprinkled with STRT_RACE_* macros.  In a normal
-// build (STRT_RACE=0, the default) every macro expands to nothing: the
-// release binary carries no trace of the instrumentation and results are
+// The concurrency hot spots of the library (the service's admission,
+// worker, drain and shutdown transitions, strt::Mutex / strt::CondVar)
+// are sprinkled with STRT_RACE_* macros.  In a normal build
+// (STRT_RACE=0, the default) every macro expands to nothing: the release
+// binary carries no trace of the instrumentation and results are
 // bit-identical to an uninstrumented tree.
 //
 // In a race build (cmake -DSTRT_RACE=ON, which defines STRT_RACE=1
@@ -17,17 +17,16 @@
 //
 // Hook placement rules (see DESIGN.md "Concurrency correctness"):
 //
-//   * STRT_RACE_ATOMIC_* go immediately BEFORE every atomic load, store,
+//   * STRT_RACE_ATOMIC go immediately BEFORE every atomic load, store,
 //     and read-modify-write on shared protocol state, carrying the
 //     address and memory order so the happens-before checker can track
 //     synchronization (acquire/release pairs on one address order the
-//     surrounding accesses; relaxed ones do not).
+//     surrounding accesses; relaxed ones do not).  Accesses to
+//     mutex-guarded state are announced the same way with kRelaxed: only
+//     the mutex's hand-off edges may order them, so one that escaped
+//     the lock shows up as a race.
 //   * STRT_RACE_HOOK marks control transitions that are not a single
-//     atomic op (entering the worker pop loop, the drain idle probe).
-//   * STRT_RACE_FAULT guards *reverted* logic for regression tests: the
-//     shipped code keeps both the fixed and the pre-fix variant of a
-//     protocol step, and the explorer proves the fixed one survives
-//     every explored schedule while the reverted one yields a witness.
+//     access (the worker and drain() about to take the service lock).
 //   * Thread identity: STRT_RACE_THREAD names the calling thread
 //     (stable across schedules, required for deterministic replay) and
 //     STRT_RACE_AWAIT_THREAD blocks the creator until the named thread
@@ -72,19 +71,12 @@ void hook(const char* site);
 void hook_access(const char* site, const void* addr, Access access,
                  Order order);
 
-/// True when the named reverted-logic fault is armed (test-only).
-[[nodiscard]] bool fault_enabled(const char* name) noexcept;
-
 /// Registers the calling thread with the active explorer under a stable
 /// name ("<prefix>/<index>") and parks until first scheduled.
 void name_thread(const char* prefix, std::size_t index);
 
 /// Blocks the calling thread until the named thread has registered.
 void await_thread(const char* prefix, std::size_t index);
-
-/// Cooperative-spin marker (std::this_thread::yield sites): forces a
-/// free round-robin switch so spin loops cannot monopolize the schedule.
-void hint_yield();
 
 /// Marks the calling thread blocked until the registered thread with
 /// this std::thread::id finishes; call immediately before joining it.
@@ -108,9 +100,6 @@ void sched_join(std::thread::id tid);
     }                                                     \
   } while (0)
 
-#define STRT_RACE_FAULT(name)                             \
-  (::strt::race::schedule_active() && ::strt::race::fault_enabled(name))
-
 #define STRT_RACE_THREAD(prefix, index)                   \
   do {                                                    \
     if (::strt::race::schedule_active()) {                \
@@ -125,13 +114,6 @@ void sched_join(std::thread::id tid);
     }                                                     \
   } while (0)
 
-#define STRT_RACE_HINT_YIELD()                            \
-  do {                                                    \
-    if (::strt::race::schedule_active()) {                \
-      ::strt::race::hint_yield();                         \
-    }                                                     \
-  } while (0)
-
 #define STRT_RACE_JOIN(thread_obj)                        \
   do {                                                    \
     if (::strt::race::schedule_active()) {                \
@@ -143,10 +125,8 @@ void sched_join(std::thread::id tid);
 
 #define STRT_RACE_HOOK(site) ((void)0)
 #define STRT_RACE_ATOMIC(site, addr, access, order) ((void)0)
-#define STRT_RACE_FAULT(name) false
 #define STRT_RACE_THREAD(prefix, index) ((void)0)
 #define STRT_RACE_AWAIT_THREAD(prefix, index) ((void)0)
-#define STRT_RACE_HINT_YIELD() ((void)0)
 #define STRT_RACE_JOIN(thread_obj) ((void)0)
 
 #endif  // STRT_RACE

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -389,13 +390,32 @@ TEST(SnapshotWarmStart, ServiceRestartServesWarmBitIdentical) {
     ++id;
   }
 
+  // Two submitter threads interleave their admissions, so the loaded
+  // memos are read concurrently with the worker and the pool filling
+  // new ones, and drain() saves while they settle.
+  const auto serve_concurrently = [&](svc::Service& service) {
+    std::vector<std::future<svc::AnalysisOutcome>> futs(reqs.size());
+    std::vector<std::thread> submitters;
+    for (std::size_t t = 0; t < 2; ++t) {
+      submitters.emplace_back([&, t] {
+        for (std::size_t i = t; i < reqs.size(); i += 2) {
+          futs[i] = service.submit(reqs[i]);
+        }
+      });
+    }
+    for (std::thread& th : submitters) th.join();
+    service.drain();
+    std::vector<svc::AnalysisOutcome> outs;
+    for (auto& f : futs) outs.push_back(f.get());
+    return outs;
+  };
+
   svc::ServiceOptions opts;
-  opts.shards = 2;
   opts.snapshot_path = file.path;
   std::vector<svc::AnalysisOutcome> cold;
   {
     svc::Service service(opts);
-    cold = service.run_all(reqs);
+    cold = serve_concurrently(service);
     // Destructor saves the final snapshot.
   }
   ASSERT_TRUE(fs::exists(file.path));
@@ -403,7 +423,8 @@ TEST(SnapshotWarmStart, ServiceRestartServesWarmBitIdentical) {
   svc::Service restarted(opts);
   const engine::WorkspaceStats loaded = restarted.workspace().stats();
   EXPECT_GT(loaded.bytes, 0u);
-  const std::vector<svc::AnalysisOutcome> warm = restarted.run_all(reqs);
+  const std::vector<svc::AnalysisOutcome> warm =
+      serve_concurrently(restarted);
   ASSERT_EQ(cold.size(), warm.size());
   for (std::size_t i = 0; i < cold.size(); ++i) {
     expect_same_outcome(cold[i], warm[i]);

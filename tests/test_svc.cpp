@@ -1,17 +1,12 @@
-// strt::svc -- the sharded batch analysis service and unified request
-// API.
+// strt::svc -- the batch analysis service and unified request API.
 //
 // Pins the service's core contracts: outcomes are bit-identical to
-// one-shot run_request() on a private workspace for every analysis kind
-// and for every shard count, the bounded admission rings exert
-// backpressure, wall-clock deadlines and CancelTokens stop requests
-// before and during a run, fingerprint batching attributes the workspace
-// cache delta to every member of a batch, same-fingerprint requests land
-// on one shard (so batching survives sharding), and concurrent
-// submitters racing drain() and destruction never lose or hang a
-// request.  Tests that depend on exact queue capacities pin shards
-// explicitly, so the suite holds under any STRT_SHARDS (the CI matrix
-// runs it with STRT_SHARDS=4).
+// one-shot run_request() on a private workspace for every analysis kind,
+// the bounded admission queue exerts backpressure, wall-clock deadlines
+// and CancelTokens stop requests before and during a run, fingerprint
+// batching attributes the workspace cache delta to every member of a
+// batch, and concurrent submitters racing drain() and destruction never
+// lose or hang a request.
 
 #include <gtest/gtest.h>
 
@@ -202,7 +197,6 @@ TEST(SvcService, OutcomesBitIdenticalToOneShotAcrossKinds) {
 TEST(SvcService, BackpressureShedsLoadWhenQueueIsFull) {
   ServiceOptions sopts;
   sopts.queue_capacity = 2;
-  sopts.shards = 1;  // the capacity bound below is per shard
   sopts.start_paused = true;
   Service service(sopts);
   const AnalysisRequest req =
@@ -325,111 +319,12 @@ TEST(SvcService, DistinctFingerprintsDoNotBatch) {
   EXPECT_EQ(service.stats().batched_requests, 0u);
 }
 
-TEST(SvcService, ShardedOutcomesBitIdenticalToSingleShard) {
-  std::vector<AnalysisRequest> reqs;
-  std::uint64_t id = 0;
-  for (int round = 0; round < 2; ++round) {
-    for (const AnalysisKind k : kAllAnalysisKinds) {
-      ++id;
-      reqs.push_back(request_of_kind(k, id, 5000 + 11 * id));
-    }
-  }
-
-  std::vector<AnalysisOutcome> one;
-  {
-    ServiceOptions sopts;
-    sopts.shards = 1;
-    Service service(sopts);
-    one = service.run_all(reqs);
-  }
-  std::vector<AnalysisOutcome> four;
-  {
-    ServiceOptions sopts;
-    sopts.shards = 4;
-    Service service(sopts);
-    EXPECT_EQ(service.shard_count(), 4u);
-    four = service.run_all(reqs);
-    // The per-shard rollup covers every shard and sums to the totals.
-    const ServiceStats stats = service.stats();
-    ASSERT_EQ(stats.per_shard.size(), 4u);
-    std::uint64_t served = 0;
-    for (const ShardStats& sh : stats.per_shard) served += sh.served;
-    EXPECT_EQ(served, stats.served);
-    EXPECT_EQ(stats.served, reqs.size());
-  }
-  ASSERT_EQ(one.size(), four.size());
-  for (std::size_t i = 0; i < one.size(); ++i) {
-    expect_same_outcome(one[i], four[i]);
-  }
-}
-
-TEST(SvcService, SameFingerprintLandsOnOneShardAndStillBatches) {
-  ServiceOptions sopts;
-  sopts.shards = 4;
-  sopts.start_paused = true;
-  sopts.max_batch = 8;
-  Service service(sopts);
-
-  const AnalysisRequest seed =
-      request_of_kind(AnalysisKind::kStructural, 0, 6161);
-  std::vector<std::future<AnalysisOutcome>> futs;
-  for (std::uint64_t id = 1; id <= 4; ++id) {
-    AnalysisRequest req = seed;
-    req.id = id;
-    futs.push_back(service.submit(std::move(req)));
-  }
-  service.resume();
-  service.drain();
-  for (auto& f : futs) {
-    const AnalysisOutcome out = f.get();
-    EXPECT_EQ(out.status, OutcomeStatus::kOk);
-    // All four share one fingerprint, so routing put them on one shard
-    // and that shard's round batched them.
-    EXPECT_EQ(out.stats.batch_size, 4u);
-  }
-  const ServiceStats stats = service.stats();
-  std::size_t owning_shards = 0;
-  for (const ShardStats& sh : stats.per_shard) {
-    if (sh.submitted > 0) {
-      ++owning_shards;
-      EXPECT_EQ(sh.submitted, 4u);
-      EXPECT_EQ(sh.served, 4u);
-    }
-  }
-  EXPECT_EQ(owning_shards, 1u);
-  EXPECT_EQ(stats.batched_requests, 4u);
-}
-
-TEST(SvcService, DistinctFingerprintsSpreadRoundRobinAcrossShards) {
-  ServiceOptions sopts;
-  sopts.shards = 4;
-  Service service(sopts);
-  std::vector<AnalysisRequest> reqs;
-  for (std::uint64_t id = 1; id <= 8; ++id) {
-    reqs.push_back(request_of_kind(AnalysisKind::kStructural, id, 200 + id));
-  }
-  const std::vector<AnalysisOutcome> outs = service.run_all(reqs);
-  for (const AnalysisOutcome& out : outs) {
-    EXPECT_EQ(out.status, OutcomeStatus::kOk);
-  }
-  // Eight distinct fingerprints, round-robin assignment: two per shard
-  // (a hash-modulo split could leave shards idle; assignment order must
-  // not).
-  const ServiceStats stats = service.stats();
-  ASSERT_EQ(stats.per_shard.size(), 4u);
-  for (const ShardStats& sh : stats.per_shard) {
-    EXPECT_EQ(sh.submitted, 2u);
-    EXPECT_EQ(sh.served, 2u);
-  }
-}
-
 TEST(SvcService, ShedAndQueueDepthAreVisibleInTheRegistry) {
   obs::Registry::global().reset();
   obs::set_enabled(true);
   {
     ServiceOptions sopts;
     sopts.queue_capacity = 2;
-    sopts.shards = 1;
     sopts.start_paused = true;
     Service service(sopts);
     const AnalysisRequest req =
@@ -451,15 +346,10 @@ TEST(SvcService, ShedAndQueueDepthAreVisibleInTheRegistry) {
   // The depth gauge was sampled at admission while both requests were
   // queued behind the pause; its high-water mark caught that.
   std::int64_t depth_max = -1;
-  bool saw_shard_gauge = false;
   for (const obs::GaugeSample& g : obs::Registry::global().gauges()) {
     if (g.name == "svc.queue_depth") depth_max = g.max_value;
-    if (g.name == "svc.shard_queue_depth{shard=\"0\"}") {
-      saw_shard_gauge = true;
-    }
   }
-  EXPECT_GE(depth_max, 2);
-  EXPECT_TRUE(saw_shard_gauge);
+  EXPECT_EQ(depth_max, 2);
   obs::set_enabled(false);
   obs::Registry::global().reset();
 }
@@ -468,11 +358,10 @@ TEST(SvcService, StressConcurrentSubmittersSurviveDrainAndShutdown) {
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kPerThread = 12;
   ServiceOptions sopts;
-  sopts.shards = 4;
   sopts.queue_capacity = 16;
   sopts.max_batch = 8;
 
-  // Four distinct systems, so routing and batching both engage.
+  // Four distinct systems, so fingerprint grouping engages.
   std::vector<AnalysisRequest> protos;
   for (std::uint64_t i = 0; i < 4; ++i) {
     protos.push_back(
@@ -524,7 +413,8 @@ TEST(SvcService, StressConcurrentSubmittersSurviveDrainAndShutdown) {
   }
 
   // Destruction with work still queued: a paused service is destroyed
-  // with full rings; the destructor serves everything before joining.
+  // with a loaded queue; the destructor serves everything before
+  // joining.
   std::vector<std::future<AnalysisOutcome>> queued;
   {
     ServiceOptions paused = sopts;

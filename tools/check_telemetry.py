@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate a strt telemetry directory (obs::TelemetrySink output).
 
-Usage: check_telemetry.py TELEMETRY_DIR [--require-shards N]
+Usage: check_telemetry.py TELEMETRY_DIR
 
 Checks, with no dependencies beyond the standard library:
 
@@ -16,10 +16,6 @@ Checks, with no dependencies beyond the standard library:
                  unique per trace, parent links resolve within the
                  trace, durations non-negative.
   events.jsonl   one strt.obs.report.v2 JSON object per line.
-
-With --require-shards N the exposition must additionally carry the
-service's per-shard series -- strt_svc_shard_served, strt_svc_shard_batches
-and strt_svc_shard_queue_depth, each labeled shard="0" .. shard="N-1".
 
 Exit status 0 when everything holds; 1 with a message otherwise.
 """
@@ -46,15 +42,6 @@ LABEL_PAIR = re.compile(
 
 TRACE_SCHEMA = "strt.obs.trace.v1"
 REPORT_SCHEMA = "strt.obs.report.v2"
-
-# Per-shard series the service exports; --require-shards checks each one
-# carries shard="0" .. shard="N-1".
-SHARD_FAMILIES = (
-    "strt_svc_shard_served",
-    "strt_svc_shard_batches",
-    "strt_svc_shard_queue_depth",
-)
-
 
 def fail(msg):
     print(f"check_telemetry: {msg}", file=sys.stderr)
@@ -86,12 +73,11 @@ def base_metric(name):
     return name
 
 
-def check_prometheus(path, require_shards=0):
+def check_prometheus(path):
     types = {}
     histograms = {}  # family -> list of (le, cumulative_count)
     scalars = {}  # family suffix samples: _sum/_count values
     series = set()  # (name, frozen labelset) -- duplicates are illegal
-    shard_values = {}  # family -> set of shard label values
     samples = 0
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
         if not line.strip():
@@ -117,8 +103,6 @@ def check_prometheus(path, require_shards=0):
         if key in series:
             fail(f"{path}:{lineno}: duplicate series {line!r}")
         series.add(key)
-        if "shard" in labelset:
-            shard_values.setdefault(name, set()).add(labelset["shard"])
         value = float(m.group("value")) if m.group("value") not in (
             "NaN", "+Inf", "-Inf") else m.group("value")
         samples += 1
@@ -145,18 +129,8 @@ def check_prometheus(path, require_shards=0):
             )
         if f"{family}_sum" not in scalars:
             fail(f"{path}: {family} has buckets but no _sum sample")
-    if require_shards:
-        want = {str(k) for k in range(require_shards)}
-        for family in SHARD_FAMILIES:
-            got = shard_values.get(family, set())
-            if not want <= got:
-                fail(
-                    f"{path}: {family} is missing shard series "
-                    f"{sorted(want - got)} (have {sorted(got)})"
-                )
     print(f"  metrics.prom: {samples} samples, "
-          f"{len(histograms)} histogram(s), "
-          f"{len(shard_values)} shard-labeled family(ies) -- ok")
+          f"{len(histograms)} histogram(s) -- ok")
 
 
 def check_trace(path):
@@ -218,22 +192,14 @@ def check_events(path):
 
 def main():
     args = sys.argv[1:]
-    require_shards = 0
-    if "--require-shards" in args:
-        i = args.index("--require-shards")
-        if i + 1 >= len(args) or not args[i + 1].isdigit():
-            fail("--require-shards requires a count")
-        require_shards = int(args[i + 1])
-        del args[i:i + 2]
     if len(args) != 1:
-        fail(f"usage: {sys.argv[0]} TELEMETRY_DIR [--require-shards N]")
+        fail(f"usage: {sys.argv[0]} TELEMETRY_DIR")
     directory = Path(args[0])
     if not directory.is_dir():
         fail(f"{directory} is not a directory")
     print(f"checking telemetry under {directory}")
     for name, checker in (
-        ("metrics.prom",
-         lambda p: check_prometheus(p, require_shards=require_shards)),
+        ("metrics.prom", check_prometheus),
         ("trace.json", check_trace),
         ("events.jsonl", check_events),
     ):
