@@ -28,7 +28,9 @@
 //     arbitrated by the deterministic interleaving explorer when one is
 //     active (race/schedule.hpp).  The explorer virtualizes ownership:
 //     a thread only issues the real lock once the explorer granted it,
-//     so parked threads never wedge the real mutex.
+//     so parked threads never wedge the real mutex.  It also tracks
+//     mutex lifetimes: destroying a held or awaited mutex, or locking a
+//     destroyed one, aborts the execution with a violation.
 #pragma once
 
 #include <condition_variable>
@@ -59,8 +61,14 @@ class STRT_CAPABILITY("mutex") Mutex {
   // Each instance is a node in the lock-order graph; registration at
   // construction keys the graph by lock identity while the acquisition
   // sites below label the edges for witness chains.
-  Mutex() : ld_id_(race::lockdep_register()) {}
-  ~Mutex() { race::lockdep_forget(ld_id_); }
+  Mutex() : ld_id_(race::lockdep_register()) { sched_create_(); }
+  ~Mutex() {
+    sched_destroy_();
+    race::lockdep_forget(ld_id_);
+  }
+#elif STRT_RACE
+  Mutex() { sched_create_(); }
+  ~Mutex() { sched_destroy_(); }
 #else
   Mutex() = default;
 #endif
@@ -133,7 +141,17 @@ class STRT_CAPABILITY("mutex") Mutex {
   void sched_unlock_() {
     if (race::schedule_active()) race::sched_mutex_unlock(this);
   }
+  // Lifetime: the explorer flags any lock of a destroyed mutex, which is
+  // how a use-after-free of its owner surfaces without a sanitizer.
+  void sched_create_() {
+    if (race::schedule_active()) race::sched_mutex_create(this);
+  }
+  void sched_destroy_() {
+    if (race::schedule_active()) race::sched_mutex_destroy(this);
+  }
 #else
+  static void sched_create_() {}
+  static void sched_destroy_() {}
   static void sched_lock_() {}
   static bool sched_try_lock_() { return true; }
   static void sched_unlock_() {}
