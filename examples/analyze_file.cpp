@@ -18,10 +18,9 @@
 //
 // `--snapshot PATH` warm-starts the workspace from a persistent snapshot
 // (strt.engine.snapshot.v2; missing or rejected files cold-start clean)
-// and saves the warmed state back before exiting; `--cache-budget BYTES`
-// bounds the interned-curve storage ("64M"-style suffixes).  Both
-// default to the STRT_SNAPSHOT / STRT_CACHE_BUDGET environment
-// variables, and neither ever changes a result (bit-identity contract).
+// and saves the warmed state back before exiting.  It defaults to the
+// STRT_SNAPSHOT environment variable and never changes a result
+// (bit-identity contract).
 // The `--report` JSON embeds the resolved effective configuration under
 // "config".
 //
@@ -85,7 +84,6 @@ int main(int argc, char** argv) {
   std::optional<Time> deadline;
   std::string report_path;
   std::string snapshot_flag;
-  std::string budget_flag;
   bool no_cache = false;
   bool check = false;
   bool check_strict = false;
@@ -109,17 +107,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       snapshot_flag = argv[++i];
-    } else if (arg == "--cache-budget") {
-      if (i + 1 >= argc) {
-        std::cerr << "--cache-budget requires a byte count (e.g. 64M)\n";
-        return 2;
-      }
-      budget_flag = argv[++i];
-      if (!cfg::parse_bytes(budget_flag)) {
-        std::cerr << "--cache-budget: cannot parse '" << budget_flag
-                  << "'\n";
-        return 2;
-      }
     } else if (arg == "--check") {
       check = true;
     } else if (arg == "--check=strict") {
@@ -163,7 +150,7 @@ int main(int argc, char** argv) {
   } else if (!args.empty()) {
     std::cerr << "usage: analyze_file <task-file> \"<supply spec>\" "
                  "[deadline] [--report out.json] [--no-cache] "
-                 "[--snapshot PATH] [--cache-budget BYTES] "
+                 "[--snapshot PATH] "
                  "[--check[=strict]] [--threads N]\n"
                  "(no positional arguments runs a built-in demo)\n";
     return 2;
@@ -214,11 +201,7 @@ int main(int argc, char** argv) {
       snapshot_flag.empty()
           ? std::nullopt
           : std::optional<std::string_view>(snapshot_flag));
-  const std::uint64_t cache_budget = cfg::get_bytes(
-      "STRT_CACHE_BUDGET", 0,
-      budget_flag.empty() ? std::nullopt
-                          : std::optional<std::string_view>(budget_flag));
-  engine::Workspace ws(!no_cache, cache_budget);
+  engine::Workspace ws(!no_cache);
   if (!snapshot_path.empty()) (void)ws.load_snapshot(snapshot_path);
 
   // The headline structural analysis goes through the unified request

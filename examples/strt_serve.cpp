@@ -34,8 +34,7 @@
 // batch tail), --no-cache (cold workspace ablation), --threads N (0 =
 // hardware default), --snapshot PATH (persistent warm-start cache:
 // loaded at startup, saved crash-safe at every drain and at shutdown;
-// defaults to STRT_SNAPSHOT), --cache-budget BYTES (interned-curve bytes
-// budget with K/M/G suffixes, e.g. 64M; defaults to STRT_CACHE_BUDGET).
+// defaults to STRT_SNAPSHOT).
 // Results are bit-identical across all of these; only the timings move.
 // A count that is not a whole number in range (e.g. --queue abc or
 // --queue -1) is rejected with exit code 2.
@@ -149,14 +148,6 @@ int main(int argc, char** argv) {
       sopts.caching = false;
     } else if (arg == "--snapshot") {
       sopts.snapshot_path = next_value("a file path");
-    } else if (arg == "--cache-budget") {
-      const std::string text = next_value("a byte count (e.g. 64M)");
-      const std::optional<std::uint64_t> bytes = cfg::parse_bytes(text);
-      if (!bytes || *bytes == 0) {
-        std::cerr << "--cache-budget: cannot parse '" << text << "'\n";
-        return 2;
-      }
-      sopts.cache_bytes_budget = *bytes;
     } else if (arg == "--threads") {
       exec::set_thread_count(next_count(/*min=*/0));
     } else if (arg == "--lockdep-report") {
@@ -174,7 +165,7 @@ int main(int argc, char** argv) {
                 << "usage: strt_serve [requests-file] [--format jsonl|csv] "
                    "[--task-dir DIR] [--report out.json] [--queue N] "
                    "[--batch N] [--no-batch] [--serial] "
-                   "[--no-cache] [--snapshot PATH] [--cache-budget BYTES] "
+                   "[--no-cache] [--snapshot PATH] "
                    "[--threads N] [--telemetry-dir DIR] "
                    "[--lockdep-report]\n";
       return 2;
@@ -294,7 +285,6 @@ int main(int argc, char** argv) {
   summary.put("cache.hits", static_cast<std::int64_t>(cache.hits));
   summary.put("cache.misses", static_cast<std::int64_t>(cache.misses));
   summary.put("cache.bytes", static_cast<std::int64_t>(cache.bytes));
-  summary.put("cache.evictions", static_cast<std::int64_t>(cache.evictions));
   if (!service.options().snapshot_path.empty()) {
     summary.put("snapshot.path", service.options().snapshot_path);
   }

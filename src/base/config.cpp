@@ -1,74 +1,6 @@
 #include "base/config.hpp"
 
-#include <cctype>
-#include <limits>
-
 namespace strt::cfg {
-
-std::optional<std::uint64_t> parse_bytes(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  std::uint64_t value = 0;
-  std::size_t i = 0;
-  for (; i < text.size() && std::isdigit(static_cast<unsigned char>(text[i]));
-       ++i) {
-    const std::uint64_t digit = static_cast<std::uint64_t>(text[i] - '0');
-    if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
-      return std::nullopt;
-    }
-    value = value * 10 + digit;
-  }
-  if (i == 0) return std::nullopt;  // no digits at all
-  std::uint64_t scale = 1;
-  if (i < text.size()) {
-    switch (std::toupper(static_cast<unsigned char>(text[i]))) {
-      case 'K':
-        scale = 1ULL << 10;
-        break;
-      case 'M':
-        scale = 1ULL << 20;
-        break;
-      case 'G':
-        scale = 1ULL << 30;
-        break;
-      default:
-        return std::nullopt;
-    }
-    ++i;
-    // Accept a trailing B ("64MB") but nothing else.
-    if (i < text.size() &&
-        std::toupper(static_cast<unsigned char>(text[i])) == 'B') {
-      ++i;
-    }
-    if (i != text.size()) return std::nullopt;
-  }
-  if (scale != 1 && value > std::numeric_limits<std::uint64_t>::max() / scale) {
-    return std::nullopt;
-  }
-  return value * scale;
-}
-
-std::uint64_t get_bytes(std::string_view key, std::uint64_t def,
-                        std::optional<std::string_view> flag) {
-  std::uint64_t value = def;
-  Source source = Source::kDefault;
-  if (flag.has_value() && !flag->empty()) {
-    if (const auto parsed = parse_bytes(*flag)) {
-      value = *parsed;
-      source = Source::kFlag;
-    }
-  }
-  if (source == Source::kDefault) {
-    if (const char* env = std::getenv(std::string(key).c_str());
-        env != nullptr && *env != '\0') {
-      if (const auto parsed = parse_bytes(env)) {
-        value = *parsed;
-        source = Source::kEnv;
-      }
-    }
-  }
-  detail::record(key, std::to_string(value), source);
-  return value;
-}
 
 std::vector<Resolution> effective_config() {
   detail::RegistryState& reg = detail::registry();

@@ -20,7 +20,6 @@
 //     env/default layers (a flag of 0 conventionally means "unset").
 //     Env values go through parse_int(), which is also the one checked
 //     parser the command-line tools use for their count flags.
-//   * get_bytes: like get_int but accepts K/M/G suffixes ("64M").
 //   * get_string: unset/empty env -> default.
 //
 // The resolution core is header-inline on purpose: strt_race sits below
@@ -162,17 +161,6 @@ inline void record(std::string_view key, std::string value, Source source) {
   detail::record(key, value, source);
   return value;
 }
-
-/// Parses a byte count with an optional K/M/G (or KB/MB/GB, case-
-/// insensitive) suffix: "64M" -> 67108864.  nullopt on parse failure or
-/// overflow.
-[[nodiscard]] std::optional<std::uint64_t> parse_bytes(std::string_view text);
-
-/// Byte-count knob: get_int semantics with parse_bytes() syntax in both
-/// the flag and env layers.  0 conventionally means "no budget".
-[[nodiscard]] std::uint64_t get_bytes(
-    std::string_view key, std::uint64_t def,
-    std::optional<std::string_view> flag = std::nullopt);
 
 /// Snapshot of every resolution recorded so far, key-ordered.
 [[nodiscard]] std::vector<Resolution> effective_config();

@@ -1,26 +1,17 @@
 #include "engine/workspace.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <limits>
 #include <map>
-#include <mutex>
 #include <optional>
-#include <set>
+#include <source_location>
 #include <stdexcept>
 #include <string>
 #include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
-
-#if STRT_LOCKDEP
-#include <source_location>
-#endif
 
 #include "base/assert.hpp"
 #include "base/config.hpp"
@@ -29,6 +20,7 @@
 #include "curves/hull.hpp"
 #include "curves/minplus.hpp"
 #include "engine/fingerprint.hpp"
+#include "engine/striped_memo.hpp"
 #include "graph/workload.hpp"
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
@@ -63,61 +55,6 @@ class LookupTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Stripes per memo-table family (power of two; fp & (kStripes - 1)
-/// selects).  16 stripes keep the tables effectively contention-free for
-/// any plausible thread count while costing ~16 mutexes per family.
-inline constexpr std::size_t kStripes = 16;
-
-/// Scoped stripe lock: MutexLock plus acquisition timing into the
-/// cache.lock_wait_ns histogram, so striping's effect on contention is
-/// measurable (a contended stripe shows up as a fat tail).  When
-/// observability is disabled the clock reads are skipped.
-class STRT_SCOPED_CAPABILITY StripeLock {
- public:
-#if STRT_LOCKDEP
-  // Lockdep labels lock-order edges by acquisition site: forward the
-  // StripeLock *construction* site, so a witness chain names the
-  // memo-family call site instead of this ctor's line -- and the
-  // same-site nesting check sees each family as its own site.
-  explicit StripeLock(Mutex& mu, const std::source_location& loc =
-                                     std::source_location::current())
-      STRT_ACQUIRE(mu) : mu_(mu) {
-    if (obs::enabled()) {
-      const auto t0 = std::chrono::steady_clock::now();
-      mu_.lock(loc);
-      static obs::Histogram& h = obs::histogram("cache.lock_wait_ns");
-      h.record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()));
-    } else {
-      mu_.lock(loc);
-    }
-  }
-#else
-  explicit StripeLock(Mutex& mu) STRT_ACQUIRE(mu) : mu_(mu) {
-    if (obs::enabled()) {
-      const auto t0 = std::chrono::steady_clock::now();
-      mu_.lock();
-      static obs::Histogram& h = obs::histogram("cache.lock_wait_ns");
-      h.record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()));
-    } else {
-      mu_.lock();
-    }
-  }
-#endif
-  ~StripeLock() STRT_RELEASE() { mu_.unlock(); }
-
-  StripeLock(const StripeLock&) = delete;
-  StripeLock& operator=(const StripeLock&) = delete;
-
- private:
-  Mutex& mu_;
-};
-
 }  // namespace
 
 bool cache_enabled_default() {
@@ -138,11 +75,14 @@ struct Workspace::PseudoInverse::Entry {
 };
 
 struct Workspace::Impl {
+  /// One task's rbf (or dbf) materializations.  Created only once a curve
+  /// is ready to store, so a compute that throws leaves no entry behind.
   struct TaskEntry {
+    Mutex m;
     /// The largest-horizon materialization so far (source of truncations).
-    CurvePtr max_curve;
+    CurvePtr max_curve STRT_GUARDED_BY(m);
     /// Every horizon already answered, for exact re-hits.
-    std::map<std::int64_t, CurvePtr> by_horizon;
+    std::map<std::int64_t, CurvePtr> by_horizon STRT_GUARDED_BY(m);
   };
 
   struct DerivedKey {
@@ -158,99 +98,32 @@ struct Workspace::Impl {
     }
   };
 
-  /// One stripe family: kStripes (mutex, table) pairs selected by a
-  /// 64-bit key hash, so lookups about different keys almost never share
-  /// a lock.  Every path keeps compute-outside-lock and first-insert-wins
-  /// semantics, so striping is invisible to results -- two keys landing
-  /// on the same stripe only cost contention, never correctness.
-  template <class Table>
-  struct Striped {
-    struct Stripe {
-      Mutex m;
-      Table table STRT_GUARDED_BY(m);
-    };
-    std::array<Stripe, kStripes> stripes;
-    [[nodiscard]] Stripe& of(std::uint64_t key_hash) {
-      return stripes[key_hash & (kStripes - 1)];
+  /// (supply description, horizon).
+  using SbfKey = std::pair<std::string, std::int64_t>;
+  struct SbfKeyHash {
+    std::size_t operator()(const SbfKey& k) const {
+      return static_cast<std::size_t>(
+          hash_combine(std::hash<std::string>{}(k.first),
+                       static_cast<std::uint64_t>(k.second)));
     }
   };
 
-  Striped<std::unordered_map<std::uint64_t, std::vector<CurvePtr>>> interned;
+  template <class Value>
+  using FingerprintMemo = StripedMemo<std::uint64_t, Value, FingerprintHash>;
 
-  Striped<std::unordered_map<std::uint64_t, TaskEntry>> rbfs;
-  Striped<std::unordered_map<std::uint64_t, TaskEntry>> dbfs;
-
-  Striped<std::map<std::pair<std::string, std::int64_t>, CurvePtr>> sbfs;
-
-  Striped<std::unordered_map<DerivedKey, CurvePtr, DerivedKeyHash>> derived;
-
-  Striped<std::unordered_map<std::uint64_t,
-                             std::shared_ptr<PseudoInverse::Entry>>>
-      inverses;
-
-  Striped<std::unordered_map<std::uint64_t,
-                             std::shared_ptr<const check::CheckResult>>>
-      validations;
+  FingerprintMemo<CurvePtr> interned;
+  FingerprintMemo<std::shared_ptr<TaskEntry>> rbfs;
+  FingerprintMemo<std::shared_ptr<TaskEntry>> dbfs;
+  StripedMemo<SbfKey, CurvePtr, SbfKeyHash> sbfs;
+  StripedMemo<DerivedKey, CurvePtr, DerivedKeyHash> derived;
+  FingerprintMemo<std::shared_ptr<PseudoInverse::Entry>> inverses;
+  FingerprintMemo<std::shared_ptr<const check::CheckResult>> validations;
 
   std::atomic<std::uint64_t> hits{0};
   std::atomic<std::uint64_t> misses{0};
   std::atomic<std::uint64_t> bytes{0};
   std::atomic<std::uint64_t> inverse_hits{0};
   std::atomic<std::uint64_t> inverse_misses{0};
-  std::atomic<std::uint64_t> evictions{0};
-  std::atomic<std::uint64_t> evicted_bytes{0};
-
-  /// Bytes-budget eviction state.  A "group" is a top-level memo key --
-  /// a task fingerprint (all its rbf/dbf horizons), a curve fingerprint
-  /// (its interned storage, derived ops, inverses), or a
-  /// supply-description hash (its sbf materializations) -- so one LRU
-  /// decision drops a coherent unit of warmth.  Touch order is a relaxed
-  /// atomic clock; the registry itself is a plain std::mutex (never
-  /// strt::Mutex: it is a leaf lock consulted from inside the memo hot
-  /// paths only while a budget is armed, and it must not feed lockdep
-  /// edges).  Lock discipline: the registry lock is never held while a
-  /// stripe lock is acquired, so it cannot participate in a cycle with
-  /// the memo stripes.
-  struct Group {
-    std::uint64_t bytes = 0;       // interned-curve bytes attributed here
-    std::uint64_t last_touch = 0;  // clock value of the latest hit/insert
-  };
-  struct EvictState {
-    std::mutex mu;
-    std::unordered_map<std::uint64_t, Group> groups;
-    /// Clock values at which currently-live BatchPins started: groups
-    /// touched at or after the oldest pin are exempt from eviction.
-    std::multiset<std::uint64_t> pins;
-  };
-  EvictState evict;
-  std::atomic<std::uint64_t> touch_clock{0};
-  std::atomic<std::uint64_t> budget{0};  // 0 = unlimited
-
-  [[nodiscard]] bool budget_on() const {
-    return budget.load(std::memory_order_relaxed) != 0;
-  }
-
-  /// Records activity on a group (and optionally attributes interned
-  /// bytes to it).  No-op while no budget is armed, so the hit paths
-  /// keep their lock-free cost in the default configuration.
-  void touch_group(std::uint64_t group, std::uint64_t add_bytes = 0) {
-    if (!budget_on()) return;
-    const std::uint64_t now =
-        touch_clock.fetch_add(1, std::memory_order_relaxed) + 1;
-    const std::lock_guard<std::mutex> lock(evict.mu);
-    Group& g = evict.groups[group];
-    g.last_touch = now;
-    g.bytes += add_bytes;
-  }
-
-  void evict_to_budget(std::uint64_t target);
-  void backfill_groups();
-  void maybe_evict() {
-    const std::uint64_t b = budget.load(std::memory_order_relaxed);
-    if (b != 0 && bytes.load(std::memory_order_relaxed) > b) {
-      evict_to_budget(b);
-    }
-  }
 
   void note_hit() {
     hits.fetch_add(1, std::memory_order_relaxed);
@@ -274,273 +147,64 @@ struct Workspace::Impl {
     static obs::Counter& cm = obs::counter("cache.inverse_misses");
     (hit ? ch : cm).add(1);
   }
-};
 
-/// Drops least-recently-touched groups until the interned storage fits
-/// `target` bytes (or every unpinned group is gone).  Victim selection
-/// runs under the registry lock; the erase sweep then walks every
-/// family stripe by stripe, so no two locks are ever held together.
-/// Races with concurrent touches are benign: an entry inserted into a
-/// victim group after selection survives the sweep of earlier stripes
-/// or is recomputed on its next query -- results are unaffected either
-/// way (bit-identity contract).
-void Workspace::Impl::evict_to_budget(std::uint64_t target) {
-  for (;;) {
-    std::vector<std::uint64_t> victims;
+  /// The exact-match memo path: a hit returns the cached value; a miss
+  /// runs `compute` outside the lock and keeps whichever result was
+  /// inserted first (racers compute identical artifacts).
+  template <class Memo, class Key, class Compute>
+  auto get_or_compute(
+      Memo& memo, Key key, Compute&& compute,
+      const std::source_location& loc = std::source_location::current()) {
     {
-      const std::lock_guard<std::mutex> lock(evict.mu);
-      const std::uint64_t held = bytes.load(std::memory_order_relaxed);
-      if (held <= target || evict.groups.empty()) return;
-      const std::uint64_t min_pin =
-          evict.pins.empty() ? std::numeric_limits<std::uint64_t>::max()
-                             : *evict.pins.begin();
-      std::vector<std::pair<std::uint64_t, std::uint64_t>> order;
-      order.reserve(evict.groups.size());
-      for (const auto& [group, info] : evict.groups) {
-        // A group touched at or after the oldest live pin may be a batch
-        // leader's in-flight warmth: never evict it.
-        if (info.last_touch < min_pin) order.emplace_back(info.last_touch, group);
-      }
-      if (order.empty()) return;  // everything live is pinned
-      std::sort(order.begin(), order.end());
-      const std::uint64_t need = held - target;
-      std::uint64_t covered = 0;
-      for (const auto& [touch, group] : order) {
-        victims.push_back(group);
-        covered += evict.groups[group].bytes;
-        if (covered >= need) break;
-      }
-      for (const std::uint64_t group : victims) evict.groups.erase(group);
-    }
-
-    const std::unordered_set<std::uint64_t> vset(victims.begin(),
-                                                 victims.end());
-    const auto hit = [&vset](std::uint64_t group) {
-      return vset.find(group) != vset.end();
-    };
-    std::uint64_t freed = 0;
-    for (auto& stripe : interned.stripes) {
-      const StripeLock lock(stripe.m);
-      for (auto it = stripe.table.begin(); it != stripe.table.end();) {
-        if (hit(it->first)) {
-          for (const CurvePtr& p : it->second) {
-            freed += sizeof(Staircase) + p->store_bytes();
-          }
-          it = stripe.table.erase(it);
-        } else {
-          ++it;
-        }
+      const LookupTimer timer;
+      if (auto hit = memo.find(key, loc)) {
+        note_hit();
+        return hit;
       }
     }
-    for (auto* family : {&rbfs, &dbfs}) {
-      for (auto& stripe : family->stripes) {
-        const StripeLock lock(stripe.m);
-        for (auto it = stripe.table.begin(); it != stripe.table.end();) {
-          it = hit(it->first) ? stripe.table.erase(it) : std::next(it);
-        }
-      }
-    }
-    for (auto& stripe : sbfs.stripes) {
-      const StripeLock lock(stripe.m);
-      for (auto it = stripe.table.begin(); it != stripe.table.end();) {
-        const std::uint64_t group = std::hash<std::string>{}(it->first.first);
-        it = hit(group) ? stripe.table.erase(it) : std::next(it);
-      }
-    }
-    for (auto& stripe : derived.stripes) {
-      const StripeLock lock(stripe.m);
-      for (auto it = stripe.table.begin(); it != stripe.table.end();) {
-        it = hit(it->first.a) ? stripe.table.erase(it) : std::next(it);
-      }
-    }
-    for (auto& stripe : inverses.stripes) {
-      const StripeLock lock(stripe.m);
-      for (auto it = stripe.table.begin(); it != stripe.table.end();) {
-        it = hit(it->first) ? stripe.table.erase(it) : std::next(it);
-      }
-    }
-    for (auto& stripe : validations.stripes) {
-      const StripeLock lock(stripe.m);
-      for (auto it = stripe.table.begin(); it != stripe.table.end();) {
-        it = hit(it->first) ? stripe.table.erase(it) : std::next(it);
-      }
-    }
-
-    bytes.fetch_sub(freed, std::memory_order_relaxed);
-    evictions.fetch_add(victims.size(), std::memory_order_relaxed);
-    evicted_bytes.fetch_add(freed, std::memory_order_relaxed);
-    static obs::Counter& c_evictions = obs::counter("cache.evictions");
-    static obs::Counter& c_evicted = obs::counter("cache.evicted_bytes");
-    c_evictions.add(victims.size());
-    c_evicted.add(freed);
+    auto result = compute();
+    note_miss();
+    return memo.insert(std::move(key), std::move(result), loc);
   }
-}
-
-/// Rebuilds the eviction registry from the live memo tables.  While no
-/// budget is armed, touch_group() is a no-op (the memo hot paths stay
-/// lock-free in the default configuration), so warmth accumulated in
-/// that state has no group attribution.  On the unlimited -> budgeted
-/// transition this walks every family and registers each top-level key
-/// with last_touch = 0: older than any subsequent touch, so pre-budget
-/// warmth is the first LRU victim.  Same lock discipline as the evict
-/// sweep -- stripes are scanned one at a time, and the registry lock is
-/// only taken afterwards with no stripe lock held.
-void Workspace::Impl::backfill_groups() {
-  std::unordered_map<std::uint64_t, std::uint64_t> found;  // group -> bytes
-  for (auto& stripe : interned.stripes) {
-    const StripeLock lock(stripe.m);
-    for (const auto& [fp, bucket] : stripe.table) {
-      std::uint64_t sz = 0;
-      for (const CurvePtr& p : bucket) sz += sizeof(Staircase) + p->store_bytes();
-      found[fp] += sz;
-    }
-  }
-  for (auto* family : {&rbfs, &dbfs}) {
-    for (auto& stripe : family->stripes) {
-      const StripeLock lock(stripe.m);
-      for (const auto& [fp, entry] : stripe.table) found.emplace(fp, 0);
-    }
-  }
-  for (auto& stripe : sbfs.stripes) {
-    const StripeLock lock(stripe.m);
-    for (const auto& [key, curve] : stripe.table) {
-      found.emplace(std::hash<std::string>{}(key.first), 0);
-    }
-  }
-  for (auto& stripe : derived.stripes) {
-    const StripeLock lock(stripe.m);
-    for (const auto& [key, curve] : stripe.table) found.emplace(key.a, 0);
-  }
-  for (auto& stripe : inverses.stripes) {
-    const StripeLock lock(stripe.m);
-    for (const auto& [fp, entry] : stripe.table) found.emplace(fp, 0);
-  }
-  for (auto& stripe : validations.stripes) {
-    const StripeLock lock(stripe.m);
-    for (const auto& [fp, entry] : stripe.table) found.emplace(fp, 0);
-  }
-  const std::lock_guard<std::mutex> lock(evict.mu);
-  evict.groups.clear();
-  for (const auto& [group, sz] : found) {
-    evict.groups.emplace(group, Group{sz, 0});
-  }
-}
+};
 
 Workspace::Workspace() : Workspace(cache_enabled_default()) {}
 
 Workspace::Workspace(bool caching)
     : impl_(std::make_unique<Impl>()), caching_(caching) {}
 
-Workspace::Workspace(bool caching, std::uint64_t cache_bytes_budget)
-    : Workspace(caching) {
-  set_cache_bytes_budget(cache_bytes_budget);
-}
-
 Workspace::~Workspace() = default;
-
-void Workspace::set_cache_bytes_budget(std::uint64_t bytes) {
-  const std::uint64_t prev =
-      impl_->budget.exchange(bytes, std::memory_order_relaxed);
-  // Arming a budget over warmth accumulated while unlimited: that
-  // warmth carries no group attribution yet, so rebuild the registry
-  // before the first eviction decision.
-  if (prev == 0 && bytes != 0) impl_->backfill_groups();
-  impl_->maybe_evict();
-}
-
-std::uint64_t Workspace::cache_bytes_budget() const {
-  return impl_->budget.load(std::memory_order_relaxed);
-}
-
-Workspace::BatchPin::~BatchPin() {
-  if (ws_ == nullptr) return;
-  Impl& impl = *ws_->impl_;
-  const std::lock_guard<std::mutex> lock(impl.evict.mu);
-  if (const auto it = impl.evict.pins.find(start_);
-      it != impl.evict.pins.end()) {
-    impl.evict.pins.erase(it);
-  }
-}
-
-Workspace::BatchPin Workspace::pin_batch() {
-  if (!caching_ || !impl_->budget_on()) return BatchPin(nullptr, 0);
-  const std::uint64_t start =
-      impl_->touch_clock.fetch_add(1, std::memory_order_relaxed) + 1;
-  {
-    const std::lock_guard<std::mutex> lock(impl_->evict.mu);
-    impl_->evict.pins.insert(start);
-  }
-  return BatchPin(this, start);
-}
 
 CurvePtr Workspace::intern(Staircase c) {
   if (!caching_) return std::make_shared<const Staircase>(std::move(c));
   const std::uint64_t fp = fingerprint(c);
-  auto& stripe = impl_->interned.of(fp);
-  CurvePtr result;
-  bool inserted = false;
-  {
-    const StripeLock lock(stripe.m);
-    std::vector<CurvePtr>& bucket = stripe.table[fp];
-    for (const CurvePtr& p : bucket) {
-      if (*p == c) {
-        result = p;
-        break;
-      }
-    }
-    if (!result) {
-      // A non-empty bucket here means two unequal curves share a 64-bit
-      // content fingerprint.  Hash-consing stays correct (full equality
-      // above decides), but every fingerprint-keyed memo table would then
-      // conflate them -- flag it under STRT_VALIDATE.
-      STRT_DCHECK(bucket.empty(),
-                  "curve fingerprint collision: unequal curves share a hash");
-      result = std::make_shared<const Staircase>(std::move(c));
-      bucket.push_back(result);
-      inserted = true;
+  CurvePtr fresh;
+  CurvePtr p = impl_->interned.find(fp);
+  if (!p) {
+    fresh = std::make_shared<const Staircase>(std::move(c));
+    p = impl_->interned.insert(fp, fresh);
+    if (p == fresh) {
+      impl_->note_bytes(sizeof(Staircase) + p->store_bytes());
+      return p;
     }
   }
-  if (inserted) {
-    const std::uint64_t sz = sizeof(Staircase) + result->store_bytes();
-    impl_->note_bytes(sz);
-    impl_->touch_group(fp, sz);
-    // Online eviction: triggered outside the stripe lock, so the sweep
-    // can take each stripe in turn without nesting.
-    impl_->maybe_evict();
-  } else {
-    impl_->touch_group(fp);
-  }
-  return result;
+  const bool same = *p == (fresh ? *fresh : c);
+  // Unequal curves sharing a 64-bit content fingerprint stay correct but
+  // unshared; every fingerprint-keyed memo table would conflate them, so
+  // flag it under STRT_VALIDATE.
+  STRT_DCHECK(same, "curve fingerprint collision: unequal curves share a hash");
+  if (same) return p;
+  return fresh ? fresh : std::make_shared<const Staircase>(std::move(c));
 }
 
 std::shared_ptr<const check::CheckResult> Workspace::validate(
     const DrtTask& task) {
-  if (!caching_) {
+  const auto lint = [&] {
     return std::make_shared<const check::CheckResult>(check::check_task(task));
-  }
-  const std::uint64_t fp = task.fingerprint();
-  auto& stripe = impl_->validations.of(fp);
-  {
-    const LookupTimer timer;
-    const StripeLock lock(stripe.m);
-    if (const auto it = stripe.table.find(fp); it != stripe.table.end()) {
-      impl_->note_hit();
-      impl_->touch_group(fp);
-      return it->second;
-    }
-  }
-  // Lint outside the lock; racers produce identical results (the pass is
-  // pure) and the emplace below keeps the first one.
-  auto result =
-      std::make_shared<const check::CheckResult>(check::check_task(task));
-  impl_->note_miss();
-  {
-    const StripeLock lock(stripe.m);
-    const auto [it, inserted] = stripe.table.emplace(fp, result);
-    if (!inserted) result = it->second;
-  }
-  impl_->touch_group(fp);
-  return result;
+  };
+  if (!caching_) return lint();
+  // The lint pass is pure, so racers produce identical results.
+  return impl_->get_or_compute(impl_->validations, task.fingerprint(), lint);
 }
 
 CurvePtr Workspace::workload_curve(const DrtTask& task, Time horizon,
@@ -552,25 +216,28 @@ CurvePtr Workspace::workload_curve(const DrtTask& task, Time horizon,
     impl_->note_miss();
     return std::make_shared<const Staircase>(compute());
   }
-  auto& family = demand ? impl_->dbfs : impl_->rbfs;
+  auto& memo = demand ? impl_->dbfs : impl_->rbfs;
   const std::uint64_t fp = task.fingerprint();
-  auto& stripe = family.of(fp);
 
+  std::shared_ptr<Impl::TaskEntry> entry;
   CurvePtr base;  // cached curve on a larger horizon, if any
   {
     const LookupTimer timer;
-    const StripeLock lock(stripe.m);
-    Impl::TaskEntry& e = stripe.table[fp];
-    if (const auto hit = e.by_horizon.find(horizon.count());
-        hit != e.by_horizon.end()) {
-      impl_->note_hit();
-      impl_->touch_group(fp);
-      return hit->second;
+    entry = memo.find(fp);
+    if (entry) {
+      const MutexLock lock(entry->m);
+      if (const auto hit = entry->by_horizon.find(horizon.count());
+          hit != entry->by_horizon.end()) {
+        impl_->note_hit();
+        return hit->second;
+      }
+      if (entry->max_curve && entry->max_curve->horizon() > horizon) {
+        base = entry->max_curve;
+      }
     }
-    if (e.max_curve && e.max_curve->horizon() > horizon) base = e.max_curve;
   }
 
-  // Compute outside the lock: either truncate the wider materialization
+  // Compute outside the locks: either truncate the wider materialization
   // (bit-identical to a fresh computation -- both are the canonical
   // staircase of the same horizon-independent function) or explore fresh.
   CurvePtr result;
@@ -581,17 +248,14 @@ CurvePtr Workspace::workload_curve(const DrtTask& task, Time horizon,
     result = intern(compute());
     impl_->note_miss();
   }
-  {
-    const StripeLock lock(stripe.m);
-    Impl::TaskEntry& e = stripe.table[fp];
-    const auto [it, inserted] =
-        e.by_horizon.emplace(horizon.count(), result);
-    if (!inserted) result = it->second;  // a racer filled it; same bits
-    if (!e.max_curve || e.max_curve->horizon() < horizon) {
-      e.max_curve = result;
-    }
+  if (!entry) entry = memo.insert(fp, std::make_shared<Impl::TaskEntry>());
+  const MutexLock lock(entry->m);
+  const auto [it, inserted] =
+      entry->by_horizon.emplace(horizon.count(), result);
+  if (!inserted) result = it->second;  // a racer filled it; same bits
+  if (!entry->max_curve || entry->max_curve->horizon() < horizon) {
+    entry->max_curve = result;
   }
-  impl_->touch_group(fp);
   return result;
 }
 
@@ -610,30 +274,9 @@ CurvePtr Workspace::sbf(const Supply& supply, Time horizon) {
   }
   // Exact-match keying only: sbf curves carry a periodic tail, which
   // truncation would drop, so horizon-extension reuse does not apply.
-  auto key = std::make_pair(supply.describe(), horizon.count());
-  // Eviction group: the supply description alone, so every horizon of
-  // one supply ages (and is dropped) as a unit.
-  const std::uint64_t group = std::hash<std::string>{}(key.first);
-  auto& stripe = impl_->sbfs.of(hash_combine(
-      group, static_cast<std::uint64_t>(key.second)));
-  {
-    const LookupTimer timer;
-    const StripeLock lock(stripe.m);
-    if (const auto it = stripe.table.find(key); it != stripe.table.end()) {
-      impl_->note_hit();
-      impl_->touch_group(group);
-      return it->second;
-    }
-  }
-  CurvePtr result = intern(supply.sbf(horizon));
-  impl_->note_miss();
-  {
-    const StripeLock lock(stripe.m);
-    const auto [it, inserted] = stripe.table.emplace(std::move(key), result);
-    if (!inserted) result = it->second;
-  }
-  impl_->touch_group(group);
-  return result;
+  return impl_->get_or_compute(
+      impl_->sbfs, Impl::SbfKey{supply.describe(), horizon.count()},
+      [&] { return intern(supply.sbf(horizon)); });
 }
 
 CurvePtr Workspace::derived(DerivedOp op, const Staircase& f,
@@ -655,27 +298,11 @@ CurvePtr Workspace::derived(DerivedOp op, const Staircase& f,
     impl_->note_miss();
     return std::make_shared<const Staircase>(compute());
   }
-  const Impl::DerivedKey key{static_cast<std::uint8_t>(op), fingerprint(f),
-                             g != nullptr ? fingerprint(*g) : 0};
-  auto& stripe = impl_->derived.of(Impl::DerivedKeyHash{}(key));
-  {
-    const LookupTimer timer;
-    const StripeLock lock(stripe.m);
-    if (const auto it = stripe.table.find(key); it != stripe.table.end()) {
-      impl_->note_hit();
-      impl_->touch_group(key.a);
-      return it->second;
-    }
-  }
-  CurvePtr result = intern(compute());
-  impl_->note_miss();
-  {
-    const StripeLock lock(stripe.m);
-    const auto [it, inserted] = stripe.table.emplace(key, result);
-    if (!inserted) result = it->second;
-  }
-  impl_->touch_group(key.a);
-  return result;
+  return impl_->get_or_compute(
+      impl_->derived,
+      Impl::DerivedKey{static_cast<std::uint8_t>(op), fingerprint(f),
+                       g != nullptr ? fingerprint(*g) : 0},
+      [&] { return intern(compute()); });
 }
 
 CurvePtr Workspace::pointwise_add(const Staircase& f, const Staircase& g) {
@@ -698,15 +325,11 @@ CurvePtr Workspace::concave_hull_staircase(const Staircase& f) {
 Workspace::PseudoInverse Workspace::inverse_of(const Staircase& curve) {
   if (!caching_) return PseudoInverse(&curve, nullptr, this);
   const std::uint64_t fp = fingerprint(curve);
-  std::shared_ptr<PseudoInverse::Entry> entry;
-  {
-    auto& stripe = impl_->inverses.of(fp);
-    const StripeLock lock(stripe.m);
-    auto& slot = stripe.table[fp];
-    if (!slot) slot = std::make_shared<PseudoInverse::Entry>();
-    entry = slot;
+  std::shared_ptr<PseudoInverse::Entry> entry = impl_->inverses.find(fp);
+  if (!entry) {
+    entry = impl_->inverses.insert(
+        fp, std::make_shared<PseudoInverse::Entry>());
   }
-  impl_->touch_group(fp);
   return PseudoInverse(&curve, std::move(entry), this);
 }
 
@@ -754,10 +377,6 @@ bool Workspace::save_snapshot(const std::string& path, std::string* error) {
     if (error != nullptr) *error = "caching is off; nothing to snapshot";
     return false;
   }
-  if (const std::uint64_t b = impl_->budget.load(std::memory_order_relaxed);
-      b != 0) {
-    impl_->evict_to_budget(b);  // the snapshot must itself fit the budget
-  }
 
   snapshot::Snapshot snap;
   // Every curve any exported entry references, keyed by fingerprint.
@@ -773,47 +392,42 @@ bool Workspace::save_snapshot(const std::string& path, std::string* error) {
     return fp;
   };
 
-  for (auto& stripe : impl_->interned.stripes) {
-    const StripeLock lock(stripe.m);
-    for (const auto& [fp, bucket] : stripe.table) {
-      if (bucket.size() == 1) (void)add_curve(bucket.front());
-    }
-  }
+  impl_->interned.for_each(
+      [&](std::uint64_t, const CurvePtr& p) { (void)add_curve(p); });
   for (const bool demand : {false, true}) {
-    auto& family = demand ? impl_->dbfs : impl_->rbfs;
+    // Collect first, then lock each entry: never two locks at once.
+    std::vector<std::pair<std::uint64_t, std::shared_ptr<Impl::TaskEntry>>>
+        entries;
+    (demand ? impl_->dbfs : impl_->rbfs)
+        .for_each([&entries](std::uint64_t fp, const auto& e) {
+          entries.emplace_back(fp, e);
+        });
     auto& out = demand ? snap.dbf : snap.rbf;
-    for (auto& stripe : family.stripes) {
-      const StripeLock lock(stripe.m);
-      for (const auto& [task_fp, entry] : stripe.table) {
-        snapshot::WorkloadRecord rec;
-        rec.task_fp = task_fp;
-        rec.by_horizon.reserve(entry.by_horizon.size());
-        for (const auto& [horizon, curve] : entry.by_horizon) {
-          if (const auto fp = add_curve(curve)) {
-            rec.by_horizon.emplace_back(horizon, *fp);
-          }
+    for (const auto& [task_fp, entry] : entries) {
+      snapshot::WorkloadRecord rec;
+      rec.task_fp = task_fp;
+      const MutexLock lock(entry->m);
+      rec.by_horizon.reserve(entry->by_horizon.size());
+      for (const auto& [horizon, curve] : entry->by_horizon) {
+        if (const auto fp = add_curve(curve)) {
+          rec.by_horizon.emplace_back(horizon, *fp);
         }
-        if (!rec.by_horizon.empty()) out.push_back(std::move(rec));
       }
+      if (!rec.by_horizon.empty()) out.push_back(std::move(rec));
     }
   }
-  for (auto& stripe : impl_->sbfs.stripes) {
-    const StripeLock lock(stripe.m);
-    for (const auto& [key, curve] : stripe.table) {
-      if (const auto fp = add_curve(curve)) {
-        snap.sbf.push_back(snapshot::SupplyRecord{key.first, key.second, *fp});
-      }
+  impl_->sbfs.for_each([&](const Impl::SbfKey& key, const CurvePtr& curve) {
+    if (const auto fp = add_curve(curve)) {
+      snap.sbf.push_back(snapshot::SupplyRecord{key.first, key.second, *fp});
     }
-  }
-  for (auto& stripe : impl_->derived.stripes) {
-    const StripeLock lock(stripe.m);
-    for (const auto& [key, curve] : stripe.table) {
-      if (const auto fp = add_curve(curve)) {
-        snap.derived.push_back(
-            snapshot::DerivedRecord{key.op, key.a, key.b, *fp});
-      }
-    }
-  }
+  });
+  impl_->derived.for_each(
+      [&](const Impl::DerivedKey& key, const CurvePtr& curve) {
+        if (const auto fp = add_curve(curve)) {
+          snap.derived.push_back(
+              snapshot::DerivedRecord{key.op, key.a, key.b, *fp});
+        }
+      });
 
   snap.curves.reserve(exported.size());
   for (const auto& [fp, curve] : exported) {
@@ -939,43 +553,30 @@ bool Workspace::load_snapshot(const std::string& path, std::string* error) {
       canon.emplace(fp, intern(Staircase(*curve)));
     }
     for (const bool demand : {false, true}) {
-      auto& family = demand ? impl_->dbfs : impl_->rbfs;
-      const auto& recs = demand ? snap.dbf : snap.rbf;
-      for (const snapshot::WorkloadRecord& rec : recs) {
-        {
-          auto& stripe = family.of(rec.task_fp);
-          const StripeLock lock(stripe.m);
-          Impl::TaskEntry& e = stripe.table[rec.task_fp];
-          for (const auto& [horizon, fp] : rec.by_horizon) {
-            e.by_horizon.emplace(horizon, canon.at(fp));
-          }
-          const CurvePtr& widest = e.by_horizon.rbegin()->second;
-          if (!e.max_curve || e.max_curve->horizon() < widest->horizon()) {
-            e.max_curve = widest;
-          }
+      auto& memo = demand ? impl_->dbfs : impl_->rbfs;
+      for (const snapshot::WorkloadRecord& rec :
+           demand ? snap.dbf : snap.rbf) {
+        std::shared_ptr<Impl::TaskEntry> e = memo.find(rec.task_fp);
+        if (!e) {
+          e = memo.insert(rec.task_fp, std::make_shared<Impl::TaskEntry>());
         }
-        impl_->touch_group(rec.task_fp);
+        const MutexLock lock(e->m);
+        for (const auto& [horizon, fp] : rec.by_horizon) {
+          e->by_horizon.emplace(horizon, canon.at(fp));
+        }
+        const CurvePtr& widest = e->by_horizon.rbegin()->second;
+        if (!e->max_curve || e->max_curve->horizon() < widest->horizon()) {
+          e->max_curve = widest;
+        }
       }
     }
     for (const snapshot::SupplyRecord& rec : snap.sbf) {
-      const std::uint64_t group = std::hash<std::string>{}(rec.key);
-      {
-        auto key = std::make_pair(rec.key, rec.horizon);
-        auto& stripe = impl_->sbfs.of(hash_combine(
-            group, static_cast<std::uint64_t>(key.second)));
-        const StripeLock lock(stripe.m);
-        stripe.table.emplace(std::move(key), canon.at(rec.curve_fp));
-      }
-      impl_->touch_group(group);
+      impl_->sbfs.insert(Impl::SbfKey{rec.key, rec.horizon},
+                         canon.at(rec.curve_fp));
     }
     for (const snapshot::DerivedRecord& rec : snap.derived) {
-      {
-        const Impl::DerivedKey key{rec.op, rec.a, rec.b};
-        auto& stripe = impl_->derived.of(Impl::DerivedKeyHash{}(key));
-        const StripeLock lock(stripe.m);
-        stripe.table.emplace(key, canon.at(rec.curve_fp));
-      }
-      impl_->touch_group(rec.a);
+      impl_->derived.insert(Impl::DerivedKey{rec.op, rec.a, rec.b},
+                            canon.at(rec.curve_fp));
     }
 
     static obs::Counter& c_load_ns = obs::counter("snapshot.load_ns");
@@ -1000,8 +601,6 @@ WorkspaceStats Workspace::stats() const {
   s.bytes = impl_->bytes.load(std::memory_order_relaxed);
   s.inverse_hits = impl_->inverse_hits.load(std::memory_order_relaxed);
   s.inverse_misses = impl_->inverse_misses.load(std::memory_order_relaxed);
-  s.evictions = impl_->evictions.load(std::memory_order_relaxed);
-  s.evicted_bytes = impl_->evicted_bytes.load(std::memory_order_relaxed);
   return s;
 }
 

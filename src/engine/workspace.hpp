@@ -29,13 +29,15 @@
 //     -- are memoized per (curve, value) via inverse_of().
 //
 // Concurrency: a Workspace is safe to share across strt::exec parallel
-// regions and with the svc::Service worker.  Every memo-table family is
-// striped: 16 (mutex, table) pairs selected by the key's fingerprint
-// hash, so lookups about different systems almost never share a lock.
-// A probe takes only its stripe's mutex; computations run outside the
-// locks, so two threads may race to fill the same slot -- both compute
-// the identical canonical artifact and the intern table collapses the
-// results (first insert wins), keeping cache-on results bit-identical to
+// regions and with the svc::Service worker.  Every memo family is one
+// StripedMemo<Key, Value> (engine/striped_memo.hpp): 16 (mutex, table)
+// stripes selected by the key's hash -- task and curve fingerprints are
+// their own hash -- so lookups about different systems almost never
+// share a lock.  Its find() never inserts, its insert() keeps the first
+// value (first insert wins), and its for_each() visits one stripe at a
+// time.  Computations run outside the locks, so two threads may race to
+// fill the same slot -- both compute the identical canonical artifact and
+// the first insert wins, keeping cache-on results bit-identical to
 // cache-off and to STRT_THREADS=1 runs.  Stripe acquisition time is
 // recorded in the cache.lock_wait_ns histogram, so residual contention
 // is measurable.
@@ -59,19 +61,10 @@
 // content fingerprint per curve), warm-from-disk results stay
 // bit-identical to cold computation.
 //
-// Eviction: set_cache_bytes_budget() bounds the interned-curve bytes.
-// When the budget is exceeded (online after an insert, and again at
-// save time), whole per-fingerprint entry groups -- a task's rbf/dbf
-// horizons, a supply's sbf materializations, one operand's derived
-// entries -- are dropped oldest-touch first (LRU).  Groups touched
-// since the oldest live pin_batch() started are never evicted, so a
-// batch leader's freshly warmed memos survive until its group is done.
-//
-// Observability: cache.hits / cache.misses / cache.bytes /
-// cache.evictions / cache.evicted_bytes (plus cache.inverse_hits /
-// cache.inverse_misses) are bumped on the global obs registry, so run
-// reports and BENCH_*.json pick them up; stats() returns the same
-// numbers per workspace.  Snapshot I/O reports snapshot.load_ns /
+// Observability: cache.hits / cache.misses / cache.bytes (plus
+// cache.inverse_hits / cache.inverse_misses) are bumped on the global obs
+// registry, so run reports and BENCH_*.json pick them up; stats() returns
+// the same numbers per workspace.  Snapshot I/O reports snapshot.load_ns /
 // snapshot.save_ns / snapshot.entries / snapshot.rejected.
 #pragma once
 
@@ -102,10 +95,6 @@ struct WorkspaceStats {
   /// Pseudo-inverse point lookups answered from / added to the memo.
   std::uint64_t inverse_hits{0};
   std::uint64_t inverse_misses{0};
-  /// Entry groups dropped by the bytes-budget eviction policy, and the
-  /// interned-curve bytes they released.
-  std::uint64_t evictions{0};
-  std::uint64_t evicted_bytes{0};
 };
 
 /// True unless STRT_CACHE resolves to "0" via strt::cfg (resolved once,
@@ -118,9 +107,6 @@ class Workspace {
   Workspace();
   /// Explicit caching switch (tests, ablations, --no-cache flags).
   explicit Workspace(bool caching);
-  /// Caching switch plus a bytes budget for the interned-curve storage
-  /// (0 = unlimited); see set_cache_bytes_budget().
-  Workspace(bool caching, std::uint64_t cache_bytes_budget);
   ~Workspace();
 
   Workspace(const Workspace&) = delete;
@@ -128,45 +114,10 @@ class Workspace {
 
   [[nodiscard]] bool caching() const { return caching_; }
 
-  /// Bounds the interned-curve bytes (stats().bytes).  0 = unlimited
-  /// (the default; touch tracking is off and hit paths keep their
-  /// lock-free cost).  When an insert pushes past the budget, the
-  /// least-recently-touched per-fingerprint entry groups are evicted
-  /// until the storage fits; save_snapshot() applies the same policy
-  /// before writing.  Results are never affected -- an evicted entry is
-  /// simply recomputed on its next query (bit-identity contract).
-  void set_cache_bytes_budget(std::uint64_t bytes);
-  [[nodiscard]] std::uint64_t cache_bytes_budget() const;
-
-  /// While alive, entry groups touched since this pin was taken are
-  /// exempt from eviction -- the batch leader's freshly warmed memos
-  /// cannot be evicted out from under the group's tail.  Movable,
-  /// released on destruction.
-  class BatchPin {
-   public:
-    BatchPin(BatchPin&& other) noexcept
-        : ws_(other.ws_), start_(other.start_) {
-      other.ws_ = nullptr;
-    }
-    BatchPin(const BatchPin&) = delete;
-    BatchPin& operator=(const BatchPin&) = delete;
-    BatchPin& operator=(BatchPin&&) = delete;
-    ~BatchPin();
-
-   private:
-    friend class Workspace;
-    BatchPin(Workspace* ws, std::uint64_t start) : ws_(ws), start_(start) {}
-
-    Workspace* ws_;  // null => no-op pin (budget off or caching off)
-    std::uint64_t start_;
-  };
-  [[nodiscard]] BatchPin pin_batch();
-
   /// Serializes the curve-bearing memo families to `path` in the
   /// versioned strt.engine.snapshot.v2 format, crash-safe (tmp+rename).
-  /// Applies the bytes-budget eviction first when a budget is set.
-  /// False (reason in *error) on I/O failure; false with no entries
-  /// written is still a valid snapshot of an empty workspace.
+  /// False (reason in *error) on I/O failure, or with caching off
+  /// ("caching is off; nothing to snapshot", no file written).
   bool save_snapshot(const std::string& path, std::string* error = nullptr);
 
   /// Validates and replays a snapshot into the memo tables (normal

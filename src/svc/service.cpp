@@ -49,28 +49,16 @@ struct Service::Impl {
     if (opts.queue_capacity == 0) opts.queue_capacity = 1;
     if (opts.max_batch == 0) opts.max_batch = 1;
     paused = opts.start_paused;
-    // Warm-start wiring: resolve the snapshot path and the cache budget
-    // (flag > STRT_SNAPSHOT / STRT_CACHE_BUDGET env > off), arm the
-    // budget first so a loaded snapshot already obeys it, then replay
-    // the snapshot into the shared workspace.  Rejection is clean: the
-    // service cold-starts and overwrites the bad file at the next save.
+    // Warm-start wiring: resolve the snapshot path (flag > STRT_SNAPSHOT
+    // env > off), then replay the snapshot into the shared workspace.
+    // Rejection is clean: the service cold-starts and overwrites the bad
+    // file at the next save.
     snapshot_path = cfg::get_string(
         "STRT_SNAPSHOT", "",
         opts.snapshot_path.empty()
             ? std::nullopt
             : std::optional<std::string_view>(opts.snapshot_path));
     opts.snapshot_path = snapshot_path;  // echo into options()
-    std::string budget_flag;
-    if (opts.cache_bytes_budget != 0) {
-      budget_flag = std::to_string(opts.cache_bytes_budget);
-    }
-    opts.cache_bytes_budget = cfg::get_bytes(
-        "STRT_CACHE_BUDGET", 0,
-        budget_flag.empty() ? std::nullopt
-                            : std::optional<std::string_view>(budget_flag));
-    if (opts.cache_bytes_budget != 0) {
-      ws.set_cache_bytes_budget(opts.cache_bytes_budget);
-    }
     if (!snapshot_path.empty()) (void)ws.load_snapshot(snapshot_path);
     if (!opts.telemetry_dir.empty()) {
       sink = std::make_unique<obs::TelemetrySink>(opts.telemetry_dir);
@@ -271,10 +259,6 @@ void Service::Impl::process(std::vector<Pending> round) {
   static obs::Histogram& h_batch = obs::histogram("svc.batch_size");
 
   for (const std::vector<std::size_t>& group : groups) {
-    // While this pin lives, memo groups the leader warms for the batch
-    // tail are exempt from bytes-budget eviction (no-op without a
-    // budget).
-    const engine::Workspace::BatchPin pin = ws.pin_batch();
     c_batches.add(1);
     batches.fetch_add(1, std::memory_order_relaxed);
     h_batch.record(group.size());

@@ -1,9 +1,11 @@
 // strt::svc -- the batch analysis service.
 //
-// A Service owns one long-lived engine::Workspace (striped intern/memo
-// tables, see engine/workspace.hpp) and one worker thread behind one
-// bounded admission queue, and serves AnalysisRequests submitted from
-// any thread:
+// A Service owns one long-lived engine::Workspace (every memo family is
+// one StripedMemo, see engine/workspace.hpp) and one worker thread behind
+// one bounded admission queue, and serves AnalysisRequests submitted
+// from any thread.  The workspace keeps every memo entry for the
+// service's lifetime; with a snapshot path set it starts warm from disk
+// and saves its warmth back on drain() and at shutdown.
 //
 //   * Admission: the queue holds queue_capacity requests.  submit()
 //     blocks while it is full (backpressure); try_submit() sheds load
@@ -91,10 +93,6 @@ struct ServiceOptions {
   /// drain() and at shutdown.  Results are bit-identical with the
   /// snapshot on, off, or rejected (Workspace contract).
   std::string snapshot_path;
-  /// Bytes budget for the workspace's interned-curve storage.  0 (the
-  /// default) resolves STRT_CACHE_BUDGET ("64M"-style suffixes allowed),
-  /// else unlimited.  See engine::Workspace::set_cache_bytes_budget().
-  std::uint64_t cache_bytes_budget = 0;
 };
 
 struct ServiceStats {

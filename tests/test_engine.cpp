@@ -1,10 +1,15 @@
 // Unit tests of the strt::engine layer: task/curve fingerprints, the
 // hash-consing intern table, workload-curve memoization with
-// horizon-extension reuse, derived-op caching, pseudo-inverse memos, and
-// the caching-off pass-through mode.
+// horizon-extension reuse, derived-op caching, pseudo-inverse memos,
+// first-insert-wins under racing threads, and the caching-off
+// pass-through mode.
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
+#include "check/diagnostics.hpp"
 #include "curves/builders.hpp"
 #include "curves/hull.hpp"
 #include "curves/minplus.hpp"
@@ -157,6 +162,49 @@ TEST(EngineWorkspace, StatsCountHitsAndMisses) {
   const engine::WorkspaceStats after_hit = ws.stats();
   EXPECT_EQ(after_hit.hits, 1u);
   EXPECT_EQ(after_hit.misses, 1u);
+}
+
+TEST(EngineWorkspace, RacingQueriesShareOneResult) {
+  // Every thread asks for the same sbf, derived and validate keys at
+  // once: whoever inserts first wins, and every thread gets that very
+  // object.  Each query counts exactly one hit or one miss.
+  engine::Workspace ws(true);
+  const DrtTask t = demo_task("t", Work(8));
+  const Supply s = Supply::tdma(Time(3), Time(8));
+  const Staircase f = rbf(t, Time(200));
+  const Staircase g = rbf(demo_task("g", Work(3)), Time(200));
+
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRounds = 8;
+  struct Seen {
+    std::vector<const Staircase*> sbf, sum;
+    std::vector<const check::CheckResult*> lint;
+  };
+  std::vector<Seen> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      for (std::size_t r = 0; r < kRounds; ++r) {
+        seen[i].sbf.push_back(ws.sbf(s, Time(200)).get());
+        seen[i].sum.push_back(ws.pointwise_add(f, g).get());
+        seen[i].lint.push_back(ws.validate(t).get());
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  const Seen& first = seen.front();
+  for (const Seen& each : seen) {
+    for (std::size_t r = 0; r < kRounds; ++r) {
+      EXPECT_EQ(each.sbf[r], first.sbf.front());
+      EXPECT_EQ(each.sum[r], first.sum.front());
+      EXPECT_EQ(each.lint[r], first.lint.front());
+    }
+  }
+  EXPECT_EQ(*first.sbf.front(), s.sbf(Time(200)));
+  EXPECT_EQ(*first.sum.front(), pointwise_add(f, g));
+  const engine::WorkspaceStats stats = ws.stats();
+  EXPECT_EQ(stats.hits + stats.misses, kThreads * kRounds * 3);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// strt::snapshot + engine::Workspace persistence and eviction.
+// strt::snapshot + engine::Workspace persistence.
 //
 // Pins the warm-start contracts of the persistent snapshot
 // (strt.engine.snapshot.v2):
@@ -14,10 +14,7 @@
 //     bit-identical with the snapshot off, on, and rejected, both via a
 //     bare Workspace and via a restarted svc::Service reusing one
 //     snapshot file.
-//   * Eviction: a bytes budget is enforced (stats().bytes ends within
-//     budget, cache.evictions counts), evicted entries recompute to the
-//     same answers, and groups touched under a live pin_batch() are
-//     never evicted out from under a batch leader.
+//   * Cache off: a Workspace(false) refuses to save and writes no file.
 //   * Concurrency: save/load racing live queries on a shared workspace
 //     is data-race-free (the TSan CI leg runs this suite).
 #include <gtest/gtest.h>
@@ -263,7 +260,7 @@ TEST(SnapshotWarmStart, BitIdenticalAcrossAllSixKinds) {
   // Cold run of one request per kind, then persist the warmth.
   std::vector<svc::AnalysisOutcome> cold;
   {
-    engine::Workspace ws;
+    engine::Workspace ws(true);
     std::uint64_t id = 1;
     for (const svc::AnalysisKind kind : svc::kAllAnalysisKinds) {
       cold.push_back(
@@ -276,7 +273,7 @@ TEST(SnapshotWarmStart, BitIdenticalAcrossAllSixKinds) {
 
   // Fresh workspace, warm-started from disk: outcomes are bit-identical
   // and the warm run answers the curve queries from the cache.
-  engine::Workspace warm;
+  engine::Workspace warm(true);
   std::string error;
   ASSERT_TRUE(warm.load_snapshot(file.path, &error)) << error;
   const engine::WorkspaceStats before = warm.stats();
@@ -298,14 +295,14 @@ TEST(SnapshotWarmStart, SaveLoadRoundTripIsStable) {
   const ScratchFile first("stable_a");
   const ScratchFile second("stable_b");
   {
-    engine::Workspace ws;
+    engine::Workspace ws(true);
     (void)svc::run_request(
         ws, request_of_kind(svc::AnalysisKind::kStructural, 1, 101));
     (void)svc::run_request(ws,
                            request_of_kind(svc::AnalysisKind::kEdf, 2, 102));
     ASSERT_TRUE(ws.save_snapshot(first.path));
   }
-  engine::Workspace reloaded;
+  engine::Workspace reloaded(true);
   ASSERT_TRUE(reloaded.load_snapshot(first.path));
   ASSERT_TRUE(reloaded.save_snapshot(second.path));
 
@@ -316,7 +313,7 @@ TEST(SnapshotWarmStart, RejectedAndMissingFilesColdStartClean) {
   obs::set_enabled(true);
   const ScratchFile file("rejected");
 
-  engine::Workspace seed;
+  engine::Workspace seed(true);
   (void)svc::run_request(
       seed, request_of_kind(svc::AnalysisKind::kStructural, 1, 300));
   ASSERT_TRUE(seed.save_snapshot(file.path));
@@ -325,7 +322,7 @@ TEST(SnapshotWarmStart, RejectedAndMissingFilesColdStartClean) {
 
   obs::Counter& rejected = obs::counter("snapshot.rejected");
   const svc::AnalysisOutcome want = [&] {
-    engine::Workspace ws;
+    engine::Workspace ws(true);
     return svc::run_request(
         ws, request_of_kind(svc::AnalysisKind::kStructural, 1, 300));
   }();
@@ -338,7 +335,7 @@ TEST(SnapshotWarmStart, RejectedAndMissingFilesColdStartClean) {
                 static_cast<std::streamsize>(corrupt.size()));
     }
     const std::uint64_t rejections = rejected.value();
-    engine::Workspace ws;
+    engine::Workspace ws(true);
     std::string error;
     EXPECT_FALSE(ws.load_snapshot(file.path, &error)) << what;
     EXPECT_FALSE(error.empty()) << what;
@@ -375,10 +372,16 @@ TEST(SnapshotWarmStart, RejectedAndMissingFilesColdStartClean) {
   const std::uint64_t rejections = rejected.value();
   std::error_code ec;
   fs::remove(file.path, ec);
-  engine::Workspace ws;
+  engine::Workspace ws(true);
   std::string error;
   EXPECT_FALSE(ws.load_snapshot(file.path, &error));
   EXPECT_EQ(rejected.value(), rejections);
+
+  // Caching off: nothing to snapshot, and no file appears.
+  engine::Workspace off(false);
+  EXPECT_FALSE(off.save_snapshot(file.path, &error));
+  EXPECT_EQ(error, "caching is off; nothing to snapshot");
+  EXPECT_FALSE(fs::exists(file.path));
 }
 
 TEST(SnapshotWarmStart, ServiceRestartServesWarmBitIdentical) {
@@ -432,74 +435,14 @@ TEST(SnapshotWarmStart, ServiceRestartServesWarmBitIdentical) {
   EXPECT_GT(restarted.workspace().stats().hits, loaded.hits);
 }
 
-TEST(Eviction, BudgetIsEnforcedAndAnswersAreUnchanged) {
-  // Unbudgeted baseline: how many bytes does this workload intern, and
-  // what does it answer?
-  engine::Workspace baseline;
-  std::vector<svc::AnalysisOutcome> want;
-  for (std::uint64_t s = 0; s < 6; ++s) {
-    want.push_back(svc::run_request(
-        baseline,
-        request_of_kind(svc::AnalysisKind::kStructural, s + 1, 400 + s)));
-  }
-  const std::uint64_t full_bytes = baseline.stats().bytes;
-  ASSERT_GT(full_bytes, 0u);
-
-  // A budget of half the full working set forces evictions along the
-  // way; every outcome stays bit-identical (evicted = recompute).
-  engine::Workspace tight(true, full_bytes / 2);
-  EXPECT_EQ(tight.cache_bytes_budget(), full_bytes / 2);
-  for (std::uint64_t s = 0; s < 6; ++s) {
-    expect_same_outcome(
-        want[s],
-        svc::run_request(tight, request_of_kind(svc::AnalysisKind::kStructural,
-                                                s + 1, 400 + s)));
-  }
-  const engine::WorkspaceStats stats = tight.stats();
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_GT(stats.evicted_bytes, 0u);
-  EXPECT_LE(stats.bytes, full_bytes / 2);
-}
-
-TEST(Eviction, PinnedBatchGroupsSurvive) {
-  engine::Workspace ws;
-  // Warm two distinct systems, then arm a tiny budget while a pin taken
-  // *before* the second system's queries is alive: every group touched
-  // since the pin is exempt, so only the first (stale) system may go.
-  const svc::AnalysisRequest old_req =
-      request_of_kind(svc::AnalysisKind::kStructural, 1, 500);
-  (void)svc::run_request(ws, old_req);
-
-  {
-    const engine::Workspace::BatchPin pin = ws.pin_batch();
-    // pin_batch() is a no-op until a budget is armed; re-take it after.
-    ws.set_cache_bytes_budget(1);  // evict-everything-possible budget
-    const engine::Workspace::BatchPin live_pin = ws.pin_batch();
-    const svc::AnalysisRequest fresh_req =
-        request_of_kind(svc::AnalysisKind::kStructural, 2, 501);
-    (void)svc::run_request(ws, fresh_req);
-    const std::uint64_t evicted_while_pinned = ws.stats().evicted_bytes;
-    // The freshly warmed groups are pinned: repeated queries still hit.
-    const std::uint64_t hits_before = ws.stats().hits;
-    (void)svc::run_request(ws, fresh_req);
-    EXPECT_GT(ws.stats().hits, hits_before);
-    EXPECT_EQ(ws.stats().evicted_bytes, evicted_while_pinned);
-  }
-
-  // Pins released: the 1-byte budget can now evict the lot.
-  ws.set_cache_bytes_budget(1);
-  EXPECT_EQ(ws.stats().bytes, 0u);
-  EXPECT_GT(ws.stats().evictions, 0u);
-}
-
 TEST(SnapshotConcurrency, SaveAndLoadRaceLiveQueries) {
   const ScratchFile file("concurrent");
-  engine::Workspace seed;
+  engine::Workspace seed(true);
   (void)svc::run_request(
       seed, request_of_kind(svc::AnalysisKind::kStructural, 1, 600));
   ASSERT_TRUE(seed.save_snapshot(file.path));
 
-  engine::Workspace shared;
+  engine::Workspace shared(true);
   std::atomic<bool> stop{false};
   std::vector<std::thread> workers;
   for (int t = 0; t < 2; ++t) {
@@ -521,7 +464,7 @@ TEST(SnapshotConcurrency, SaveAndLoadRaceLiveQueries) {
   for (std::thread& w : workers) w.join();
 
   // The file is still a valid snapshot after the dust settles.
-  engine::Workspace check;
+  engine::Workspace check(true);
   EXPECT_TRUE(check.load_snapshot(file.path));
 }
 
