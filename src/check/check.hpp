@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -36,6 +37,7 @@
 
 #include "check/diagnostics.hpp"
 #include "curves/staircase.hpp"
+#include "graph/cycle_ratio.hpp"
 #include "graph/drt.hpp"
 #include "model/gmf.hpp"
 #include "model/recurring.hpp"
@@ -68,10 +70,16 @@ struct TaskSpec {
 /// drt.nonpositive-separation, drt.dangling-edge, drt.duplicate-vertex.
 [[nodiscard]] CheckResult check_task_spec(const TaskSpec& spec);
 
+/// Where the utilization rules get a task's long-run utilization: the
+/// default computes it (graph/cycle_ratio); an engine::Workspace passes
+/// its memo.
+using UtilizationFn = std::function<std::optional<Rational>(const DrtTask&)>;
+
 /// Semantic rules on a built task: drt.wcet-exceeds-deadline,
 /// drt.overutilized, drt.dead-end, drt.transient, drt.acyclic,
 /// drt.not-frame-separated.
-[[nodiscard]] CheckResult check_task(const DrtTask& task);
+[[nodiscard]] CheckResult check_task(const DrtTask& task,
+                                     const UtilizationFn& util = utilization);
 
 /// Validates `spec` (spec pass, then -- if the spec is error-free -- the
 /// task pass on the built model) appending to `result`.  Returns the
@@ -82,13 +90,15 @@ struct TaskSpec {
 
 /// Cross-task rules: set.overutilized (long-run utilizations sum to >= 1),
 /// set.duplicate-task (same structural fingerprint appears twice).
-[[nodiscard]] CheckResult check_task_set(std::span<const DrtTask> tasks);
+[[nodiscard]] CheckResult check_task_set(
+    std::span<const DrtTask> tasks, const UtilizationFn& util = utilization);
 
 /// Workload-versus-resource gate: supply.overload when the utilization
 /// sum reaches the supply's long-run rate (the busy-window iteration
 /// diverges at or above it).
-[[nodiscard]] CheckResult check_system(std::span<const DrtTask> tasks,
-                                       const Supply& supply);
+[[nodiscard]] CheckResult check_system(
+    std::span<const DrtTask> tasks, const Supply& supply,
+    const UtilizationFn& util = utilization);
 
 /// Raw curve samples before Staircase::from_points canonicalizes them:
 /// curve.negative (negative time or value), curve.non-monotone (a later

@@ -78,7 +78,7 @@ CheckResult check_task_spec(const TaskSpec& spec) {
   return r;
 }
 
-CheckResult check_task(const DrtTask& task) {
+CheckResult check_task(const DrtTask& task, const UtilizationFn& util) {
   CheckResult r;
   const detail::Pass pass(r);
 
@@ -133,7 +133,7 @@ CheckResult check_task(const DrtTask& task) {
           "staircase is unavailable (rbf-based analyses still apply)");
   }
 
-  if (const auto u = utilization(task); u && *u >= Rational(1)) {
+  if (const auto u = util(task); u && *u >= Rational(1)) {
     std::ostringstream msg;
     msg << "long-run utilization " << u->to_string()
         << " >= 1 -- no unit-rate supply can serve this task";
@@ -160,13 +160,14 @@ std::optional<DrtTask> build_task(const TaskSpec& spec, CheckResult& result) {
   return task;
 }
 
-CheckResult check_task_set(std::span<const DrtTask> tasks) {
+CheckResult check_task_set(std::span<const DrtTask> tasks,
+                           const UtilizationFn& util) {
   CheckResult r;
   const detail::Pass pass(r);
 
   Rational total(0);
   for (const DrtTask& t : tasks) {
-    if (const auto u = utilization(t)) total += *u;
+    if (const auto u = util(t)) total += *u;
   }
   if (total >= Rational(1)) {
     std::ostringstream msg;
@@ -188,13 +189,13 @@ CheckResult check_task_set(std::span<const DrtTask> tasks) {
 }
 
 CheckResult check_system(std::span<const DrtTask> tasks,
-                         const Supply& supply) {
+                         const Supply& supply, const UtilizationFn& util) {
   CheckResult r;
   const detail::Pass pass(r);
 
   Rational total(0);
   for (const DrtTask& t : tasks) {
-    if (const auto u = utilization(t)) total += *u;
+    if (const auto u = util(t)) total += *u;
   }
   const Rational rate = supply.long_run_rate();
   if (total >= rate) {

@@ -146,6 +146,9 @@ std::span<const CodeInfo> all_codes() {
        "sporadic wcet exceeds its period"},
       {"sporadic.wcet-exceeds-deadline", Severity::kError,
        "sporadic job can never meet its deadline"},
+      {"supply.near-overload", Severity::kError,
+       "busy window exceeds the horizon guard (utilization within a hair "
+       "of the supply rate)"},
       {"supply.overload", Severity::kError,
        "utilization sum reaches the supply's long-run rate"},
   };

@@ -4,28 +4,27 @@
 
 #include "base/assert.hpp"
 #include "base/checked.hpp"
+#include "core/busy_window.hpp"
 #include "core/curve_based.hpp"
 #include "curves/builders.hpp"
 #include "curves/hull.hpp"
 #include "curves/minplus.hpp"
 #include "engine/workspace.hpp"
-#include "graph/cycle_ratio.hpp"
 #include "graph/workload.hpp"
 
 namespace strt {
 
 namespace {
 
-constexpr std::int64_t kMaxHorizon = std::int64_t{1} << 32;
-
 /// Exact long-run rate of the abstraction (used for the overload check).
-Rational abstraction_rate(const DrtTask& task, WorkloadAbstraction a) {
+Rational abstraction_rate(engine::Workspace& ws, const DrtTask& task,
+                          WorkloadAbstraction a) {
   switch (a) {
     case WorkloadAbstraction::kStructural:
     case WorkloadAbstraction::kExactCurve:
     case WorkloadAbstraction::kConcaveHull:
     case WorkloadAbstraction::kTokenBucket: {
-      const std::optional<Rational> u = utilization(task);
+      const std::optional<Rational> u = ws.utilization(task);
       return u.value_or(Rational(0));
     }
     case WorkloadAbstraction::kSporadicMinGap: {
@@ -40,9 +39,10 @@ Rational abstraction_rate(const DrtTask& task, WorkloadAbstraction a) {
   throw std::logic_error("unreachable");
 }
 
-Staircase token_bucket_fit(const DrtTask& task, const Staircase& exact,
-                           Time horizon) {
-  const Rational rate = abstraction_rate(task, WorkloadAbstraction::kTokenBucket);
+Staircase token_bucket_fit(engine::Workspace& ws, const DrtTask& task,
+                           const Staircase& exact, Time horizon) {
+  const Rational rate =
+      abstraction_rate(ws, task, WorkloadAbstraction::kTokenBucket);
   // Minimal integer burst b with  b + floor(rate*(t-1)) >= rbf(t)  for all
   // t in [1, horizon]; candidates at rbf steps.
   std::int64_t burst = task.max_wcet().count();
@@ -83,9 +83,9 @@ Staircase sporadic_min_gap_fit(const DrtTask& task, Time horizon) {
 
 }  // namespace
 
-Rational abstraction_long_run_rate(const DrtTask& task,
+Rational abstraction_long_run_rate(engine::Workspace& ws, const DrtTask& task,
                                    WorkloadAbstraction a) {
-  return abstraction_rate(task, a);
+  return abstraction_rate(ws, task, a);
 }
 
 std::string_view abstraction_name(WorkloadAbstraction a) {
@@ -115,7 +115,7 @@ Staircase abstracted_arrival(engine::Workspace& ws, const DrtTask& task,
     case WorkloadAbstraction::kConcaveHull:
       return *ws.concave_hull_staircase(*exact);
     case WorkloadAbstraction::kTokenBucket:
-      return token_bucket_fit(task, *exact, horizon);
+      return token_bucket_fit(ws, task, *exact, horizon);
     case WorkloadAbstraction::kSporadicMinGap:
       return sporadic_min_gap_fit(task, horizon);
     case WorkloadAbstraction::kStructural:
@@ -130,7 +130,7 @@ AbstractionResult delay_with_abstraction(engine::Workspace& ws,
                                          WorkloadAbstraction a,
                                          const StructuralOptions& opts) {
   AbstractionResult res;
-  if (abstraction_rate(task, a) >= supply.long_run_rate()) {
+  if (abstraction_rate(ws, task, a) >= supply.long_run_rate()) {
     res.delay = Time::unbounded();
     res.backlog = Work::unbounded();
     res.busy_window = Time::unbounded();
@@ -157,11 +157,7 @@ AbstractionResult delay_with_abstraction(engine::Workspace& ws,
       res.backlog = vdev(alpha, *beta, *L);
       return res;
     }
-    if (horizon.count() > kMaxHorizon) {
-      throw std::runtime_error(
-          "delay_with_abstraction: horizon guard exceeded");
-    }
-    horizon = horizon * 2;
+    horizon = next_horizon(horizon, "delay_with_abstraction");
   }
 }
 

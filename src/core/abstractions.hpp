@@ -65,7 +65,9 @@ struct AbstractionResult {
 /// Exact long-run rate of an abstraction's arrival curve (equals the
 /// task utilization except for kSporadicMinGap, which claims
 /// max-wcet / min-separation).
-[[nodiscard]] Rational abstraction_long_run_rate(const DrtTask& task,
+/// The utilization comes from `ws`'s memo.
+[[nodiscard]] Rational abstraction_long_run_rate(engine::Workspace& ws,
+                                                 const DrtTask& task,
                                                  WorkloadAbstraction a);
 
 /// The fitted arrival curve of an abstraction (not defined for

@@ -1,20 +1,15 @@
 #include "core/audsley.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "base/assert.hpp"
+#include "core/busy_window.hpp"
 #include "curves/minplus.hpp"
 #include "engine/workspace.hpp"
 #include "exec/exec.hpp"
-#include "graph/cycle_ratio.hpp"
 #include "graph/workload.hpp"
 
 namespace strt {
-
-namespace {
-constexpr std::int64_t kMaxHorizon = std::int64_t{1} << 32;
-}
 
 AudsleyResult audsley_assignment(engine::Workspace& ws,
                                  std::span<const DrtTask> tasks,
@@ -25,7 +20,7 @@ AudsleyResult audsley_assignment(engine::Workspace& ws,
 
   Rational total(0);
   for (const DrtTask& t : tasks) {
-    if (const std::optional<Rational> u = utilization(t)) total += *u;
+    if (const std::optional<Rational> u = ws.utilization(t)) total += *u;
   }
   if (total >= supply.long_run_rate()) return res;  // infeasible
 
@@ -42,10 +37,7 @@ AudsleyResult audsley_assignment(engine::Workspace& ws,
     }
     sv = ws.sbf(supply, horizon);
     if (first_catch_up(*sum, *sv)) break;
-    if (horizon.count() > kMaxHorizon) {
-      throw std::runtime_error("audsley_assignment: horizon guard exceeded");
-    }
-    horizon = horizon * 2;
+    horizon = next_horizon(horizon, "audsley_assignment");
   }
 
   std::vector<std::size_t> unassigned(tasks.size());

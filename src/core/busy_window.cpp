@@ -1,26 +1,30 @@
 #include "core/busy_window.hpp"
 
-#include <stdexcept>
+#include <string>
 
 #include "base/assert.hpp"
 #include "curves/minplus.hpp"
 #include "engine/workspace.hpp"
-#include "graph/cycle_ratio.hpp"
 #include "graph/workload.hpp"
 
 namespace strt {
 
-namespace {
-// The doubling search is guaranteed to terminate once the horizon passes
-// the true busy window, but guard against pathological inputs (utilization
-// within a hair of the supply rate can make L astronomically large).
-constexpr std::int64_t kMaxHorizon = std::int64_t{1} << 32;
-}  // namespace
+HorizonGuardError::HorizonGuardError(std::string_view analysis)
+    : std::runtime_error(
+          std::string(analysis) +
+          ": horizon guard exceeded; utilization is too close to the "
+          "supply rate for a tractable finitary analysis") {}
+
+Time next_horizon(Time horizon, std::string_view analysis,
+                  std::int64_t guard) {
+  if (horizon.count() > guard) throw HorizonGuardError(analysis);
+  return horizon * 2;
+}
 
 std::optional<BusyWindow> busy_window(engine::Workspace& ws,
                                       const DrtTask& task,
                                       const Supply& supply) {
-  const std::optional<Rational> util = utilization(task);
+  const std::optional<Rational> util = ws.utilization(task);
   if (util && *util >= supply.long_run_rate()) return std::nullopt;
 
   Time horizon = max(supply.min_horizon(), Time(64));
@@ -32,12 +36,7 @@ std::optional<BusyWindow> busy_window(engine::Workspace& ws,
       // and inverse lookups up to rbf(L) <= sbf(L) resolve in range.
       return BusyWindow{*L, *wl, *sv};
     }
-    if (horizon.count() > kMaxHorizon) {
-      throw std::runtime_error(
-          "busy_window: horizon guard exceeded; utilization is too close "
-          "to the supply rate for a tractable finitary analysis");
-    }
-    horizon = horizon * 2;
+    horizon = next_horizon(horizon, "busy_window");
   }
 }
 

@@ -7,7 +7,10 @@
 // then materializes both curves out to L with a doubling search.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <stdexcept>
+#include <string_view>
 
 #include "curves/staircase.hpp"
 #include "graph/drt.hpp"
@@ -24,6 +27,24 @@ struct BusyWindow {
   Staircase rbf;    // materialized on [0, L]
   Staircase sbf;    // materialized on [0, L], tail preserved
 };
+
+/// Horizon guard of the doubling searches: a search that has not closed
+/// its busy window past this many ticks gives up.  The busy window exists
+/// whenever the utilization is below the supply rate, but a utilization
+/// within a hair of the rate makes it astronomically long.
+inline constexpr std::int64_t kMaxHorizon = std::int64_t{1} << 32;
+
+/// Thrown by next_horizon() when a doubling search passes its guard.  svc
+/// reports it as the supply.near-overload diagnostic.
+class HorizonGuardError : public std::runtime_error {
+ public:
+  explicit HorizonGuardError(std::string_view analysis);
+};
+
+/// The next horizon of a busy-window doubling search in `analysis`:
+/// twice `horizon`, or HorizonGuardError once `horizon` is past `guard`.
+[[nodiscard]] Time next_horizon(Time horizon, std::string_view analysis,
+                                std::int64_t guard = kMaxHorizon);
 
 /// Busy window of a single DRT task on a supply.  Returns nullopt when the
 /// task's utilization is not strictly below the supply rate (overload: no

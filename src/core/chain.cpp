@@ -1,18 +1,18 @@
 #include "core/chain.hpp"
 
-#include <stdexcept>
-
 #include "base/assert.hpp"
+#include "core/busy_window.hpp"
 #include "curves/minplus.hpp"
 #include "engine/workspace.hpp"
-#include "graph/cycle_ratio.hpp"
 #include "graph/workload.hpp"
 
 namespace strt {
 
 namespace {
 
-constexpr std::int64_t kMaxHorizon = std::int64_t{1} << 30;
+/// Tighter than the default guard: the workload curve is materialized
+/// on (hops + 1) times the base horizon.
+constexpr std::int64_t kChainHorizonGuard = std::int64_t{1} << 30;
 
 /// One attempt at a fixed horizon; nullopt = not enough horizon yet.
 std::optional<ChainResult> try_chain(engine::Workspace& ws,
@@ -100,7 +100,7 @@ ChainResult chain_delay(engine::Workspace& ws, const DrtTask& task,
   overload.per_hop_sum = Time::unbounded();
   overload.busy_window = Time::unbounded();
 
-  const std::optional<Rational> util = utilization(task);
+  const std::optional<Rational> util = ws.utilization(task);
   if (util) {
     for (const Supply& s : hops) {
       if (*util >= s.long_run_rate()) return overload;
@@ -114,10 +114,7 @@ ChainResult chain_delay(engine::Workspace& ws, const DrtTask& task,
             try_chain(ws, task, hops, opts, horizon)) {
       return *res;
     }
-    if (horizon.count() > kMaxHorizon) {
-      throw std::runtime_error("chain_delay: horizon guard exceeded");
-    }
-    horizon = horizon * 2;
+    horizon = next_horizon(horizon, "chain_delay", kChainHorizonGuard);
   }
 }
 

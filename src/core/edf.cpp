@@ -1,22 +1,17 @@
 #include "core/edf.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 #include <vector>
 
 #include "base/assert.hpp"
+#include "core/busy_window.hpp"
 #include "curves/minplus.hpp"
 #include "engine/workspace.hpp"
-#include "graph/cycle_ratio.hpp"
 #include "graph/workload.hpp"
 #include "obs/counters.hpp"
 #include "obs/span.hpp"
 
 namespace strt {
-
-namespace {
-constexpr std::int64_t kMaxHorizon = std::int64_t{1} << 32;
-}
 
 EdfResult edf_schedulable(engine::Workspace& ws,
                           std::span<const DrtTask> tasks,
@@ -34,7 +29,7 @@ EdfResult edf_schedulable(engine::Workspace& ws,
 
   Rational total(0);
   for (const DrtTask& t : tasks) {
-    if (const std::optional<Rational> u = utilization(t)) total += *u;
+    if (const std::optional<Rational> u = ws.utilization(t)) total += *u;
   }
   if (total >= supply.long_run_rate()) {
     res.overloaded = true;
@@ -54,10 +49,7 @@ EdfResult edf_schedulable(engine::Workspace& ws,
     const engine::CurvePtr sv = ws.sbf(supply, horizon);
     const std::optional<Time> L = first_catch_up(*sum_rbf, *sv);
     if (!L) {
-      if (horizon.count() > kMaxHorizon) {
-        throw std::runtime_error("edf_schedulable: horizon guard exceeded");
-      }
-      horizon = horizon * 2;
+      horizon = next_horizon(horizon, "edf_schedulable");
       c_doublings.add(1);
       continue;
     }

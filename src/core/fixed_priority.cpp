@@ -1,20 +1,14 @@
 #include "core/fixed_priority.hpp"
 
-#include <stdexcept>
-
 #include "base/assert.hpp"
 #include "core/abstractions.hpp"
+#include "core/busy_window.hpp"
 #include "engine/workspace.hpp"
 #include "exec/exec.hpp"
 #include "curves/minplus.hpp"
-#include "graph/cycle_ratio.hpp"
 #include "graph/workload.hpp"
 
 namespace strt {
-
-namespace {
-constexpr std::int64_t kMaxHorizon = std::int64_t{1} << 32;
-}
 
 FpResult fixed_priority_analysis(engine::Workspace& ws,
                                  std::span<const DrtTask> tasks,
@@ -31,7 +25,7 @@ FpResult fixed_priority_analysis(engine::Workspace& ws,
   // coarser abstraction can overload a supply the exact workload fits).
   Rational total(0);
   for (const DrtTask& t : tasks) {
-    total += abstraction_long_run_rate(t, interference);
+    total += abstraction_long_run_rate(ws, t, interference);
   }
   if (total >= supply.long_run_rate()) {
     res.overloaded = true;
@@ -65,11 +59,7 @@ FpResult fixed_priority_analysis(engine::Workspace& ws,
       res.system_busy_window = *L;
       break;
     }
-    if (horizon.count() > kMaxHorizon) {
-      throw std::runtime_error(
-          "fixed_priority_analysis: horizon guard exceeded");
-    }
-    horizon = horizon * 2;
+    horizon = next_horizon(horizon, "fixed_priority_analysis");
   }
 
   // The higher-priority interference prefix of level i depends only on

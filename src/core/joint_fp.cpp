@@ -5,10 +5,10 @@
 #include <vector>
 
 #include "base/assert.hpp"
+#include "core/busy_window.hpp"
 #include "curves/minplus.hpp"
 #include "engine/workspace.hpp"
 #include "exec/exec.hpp"
-#include "graph/cycle_ratio.hpp"
 #include "graph/workload.hpp"
 #include "obs/counters.hpp"
 #include "obs/span.hpp"
@@ -24,7 +24,9 @@ void accumulate(ExploreStats& into, const ExploreStats& s) {
   into.aborted = into.aborted || s.aborted;
 }
 
-constexpr std::int64_t kMaxHorizon = std::int64_t{1} << 28;
+/// Tighter than the default guard: the interference-path enumeration
+/// below walks every path up to the busy window.
+constexpr std::int64_t kJointHorizonGuard = std::int64_t{1} << 28;
 
 /// True if a(t) <= b(t) for all t (checked at both breakpoint sets).
 bool pointwise_leq(const Staircase& a, const Staircase& b) {
@@ -109,9 +111,9 @@ JointFpResult joint_multi_task_fp(engine::Workspace& ws,
 
   Rational total(0);
   for (const DrtTask& hp : hps) {
-    if (const auto u = utilization(hp)) total += *u;
+    if (const auto u = ws.utilization(hp)) total += *u;
   }
-  if (const auto u = utilization(lp)) total += *u;
+  if (const auto u = ws.utilization(lp)) total += *u;
   if (total >= supply.long_run_rate()) {
     res.overloaded = true;
     res.joint_delay = Time::unbounded();
@@ -135,10 +137,7 @@ JointFpResult joint_multi_task_fp(engine::Workspace& ws,
       res.busy_window = *L;
       break;
     }
-    if (horizon.count() > kMaxHorizon) {
-      throw std::runtime_error("joint FP analysis: horizon guard exceeded");
-    }
-    horizon = horizon * 2;
+    horizon = next_horizon(horizon, "joint FP analysis", kJointHorizonGuard);
   }
 
   StructuralOptions sopts;

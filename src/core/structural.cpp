@@ -20,35 +20,56 @@ StructuralResult analyze(engine::Workspace& ws, const DrtTask& task,
   StructuralResult res;
   res.busy_window = window;
 
-  ExploreResult ex = explore_paths(
-      task, ExploreOptions{.elapsed_limit = max(Time(0), window - Time(1)),
-                           .prune = opts.prune,
-                           .max_states = opts.max_states,
-                           .progress_every = opts.progress_every,
-                           .on_progress = opts.on_progress});
-  res.stats = ex.stats;
-
+  // The task's shared exploration (or a private one when the options
+  // call for it) viewed at the busy window: exactly explore_paths there.
+  const Time limit = max(Time(0), window - Time(1));
   const engine::Workspace::PseudoInverse inverse = ws.inverse_of(service);
-  std::int32_t best = -1;
-  res.vertex_delays.assign(task.vertex_count(), Time(0));
-  {
-    const obs::Span fold_span("inverse_sbf");
-    for (std::int32_t idx : ex.frontier) {
-      const PathState& s = ex.arena[static_cast<std::size_t>(idx)];
-      const Time finish = inverse(s.work);
-      STRT_ASSERT(!finish.is_unbounded(),
-                  "service never delivers busy-window work");
-      const Time d = finish > s.elapsed ? finish - s.elapsed : Time(0);
-      if (d > res.delay || best < 0) {
-        res.delay = d;
-        best = idx;
-      }
-      auto& vd = res.vertex_delays[static_cast<std::size_t>(s.vertex)];
-      vd = max(vd, d);
-      const Work served = service.value(s.elapsed);
-      if (s.work > served) res.backlog = max(res.backlog, s.work - served);
+  const auto fold = [&](const Frontier& paths) {
+    res.stats = paths.stats(limit);
+    std::int32_t best = -1;
+    res.vertex_delays.assign(task.vertex_count(), Time(0));
+    {
+      const obs::Span fold_span("inverse_sbf");
+      paths.for_each_frontier(limit, [&](std::int32_t idx,
+                                         const PathState& s) {
+        const Time finish = inverse(s.work);
+        STRT_ASSERT(!finish.is_unbounded(),
+                    "service never delivers busy-window work");
+        const Time d = finish > s.elapsed ? finish - s.elapsed : Time(0);
+        if (d > res.delay || best < 0) {
+          res.delay = d;
+          best = idx;
+        }
+        auto& vd = res.vertex_delays[static_cast<std::size_t>(s.vertex)];
+        vd = max(vd, d);
+        const Work served = service.value(s.elapsed);
+        if (s.work > served) res.backlog = max(res.backlog, s.work - served);
+      });
     }
-  }
+    if (opts.want_witness && best >= 0) {
+      const obs::Span witness_span("witness");
+      // The frontier state with the worst delay bounds the delay of its
+      // *last* job; replay the path to report per-job numbers.
+      for (const PathState& s : paths.path_to(best)) {
+        const Time finish = inverse(s.work);
+        WitnessJob job;
+        job.vertex = task.vertex(s.vertex).name;
+        job.release = s.elapsed;
+        job.wcet = task.vertex(s.vertex).wcet;
+        job.cumulative = s.work;
+        job.latest_finish = finish;
+        job.delay = finish > s.elapsed ? finish - s.elapsed : Time(0);
+        res.witness.push_back(std::move(job));
+      }
+    }
+  };
+  ws.explore(task,
+             ExploreOptions{.elapsed_limit = limit,
+                            .prune = opts.prune,
+                            .max_states = opts.max_states,
+                            .progress_every = opts.progress_every,
+                            .on_progress = opts.on_progress},
+             fold);
 
   res.meets_vertex_deadlines = true;
   for (VertexId v = 0; static_cast<std::size_t>(v) < task.vertex_count();
@@ -56,23 +77,6 @@ StructuralResult analyze(engine::Workspace& ws, const DrtTask& task,
     if (res.vertex_delays[static_cast<std::size_t>(v)] >
         task.vertex(v).deadline) {
       res.meets_vertex_deadlines = false;
-    }
-  }
-
-  if (opts.want_witness && best >= 0) {
-    const obs::Span witness_span("witness");
-    // The frontier state with the worst delay bounds the delay of its
-    // *last* job; replay the path to report per-job numbers.
-    for (const PathState& s : ex.path_to(best)) {
-      const Time finish = inverse(s.work);
-      WitnessJob job;
-      job.vertex = task.vertex(s.vertex).name;
-      job.release = s.elapsed;
-      job.wcet = task.vertex(s.vertex).wcet;
-      job.cumulative = s.work;
-      job.latest_finish = finish;
-      job.delay = finish > s.elapsed ? finish - s.elapsed : Time(0);
-      res.witness.push_back(std::move(job));
     }
   }
   return res;

@@ -4,13 +4,16 @@
 // A StripedMemo<Key, Value, Hash> is kStripes (strt::Mutex,
 // std::unordered_map) pairs; Hash{}(key) & (kStripes - 1) selects the
 // stripe, so lookups about different keys almost never share a lock.  It
-// has three operations, and each holds exactly one stripe lock:
+// has four operations, and each holds exactly one stripe lock:
 //
 //   * find(key)          the cached value, or Value{} on a miss.  A lookup
 //                        never inserts.
 //   * insert(key, value) first insert wins: returns the value the table
 //                        holds for `key` afterwards -- `value` itself
 //                        unless a racer filled the slot first.
+//   * erase(key, value)  drops the entry for `key` if it still holds
+//                        `value` (a memo entry found unusable after the
+//                        fact, such as an aborted exploration).
 //   * for_each(fn)       calls fn(key, value) for every entry, one stripe
 //                        at a time; never holds two stripe locks.
 //
@@ -115,6 +118,16 @@ class StripedMemo {
     const StripeLock lock(s.m, loc);
     return s.table.try_emplace(std::move(key), std::move(value))
         .first->second;
+  }
+
+  /// Removes `key` if the table still maps it to `value`.
+  void erase(const Key& key, const Value& value,
+             const std::source_location& loc =
+                 std::source_location::current()) {
+    Stripe& s = stripe_of(key);
+    const StripeLock lock(s.m, loc);
+    const auto it = s.table.find(key);
+    if (it != s.table.end() && it->second == value) s.table.erase(it);
   }
 
   /// Calls fn(const Key&, const Value&) for every entry under its

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <map>
 #include <optional>
 #include <source_location>
@@ -21,6 +22,8 @@
 #include "curves/minplus.hpp"
 #include "engine/fingerprint.hpp"
 #include "engine/striped_memo.hpp"
+#include "graph/cycle_ratio.hpp"
+#include "graph/explore.hpp"
 #include "graph/workload.hpp"
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
@@ -119,6 +122,22 @@ struct Workspace::Impl {
   FingerprintMemo<std::shared_ptr<PseudoInverse::Entry>> inverses;
   FingerprintMemo<std::shared_ptr<const check::CheckResult>> validations;
 
+  /// One task's shared exploration, extended in place under `m`.
+  struct FrontierEntry {
+    explicit FrontierEntry(const DrtTask& t)
+        : task(t), paths(task, ExploreOptions{}) {}
+    const DrtTask task;  // `paths` explores this copy
+    Mutex m;
+    Frontier paths STRT_GUARDED_BY(m);
+    /// paths.bytes() already added to `bytes`.
+    std::uint64_t counted_bytes STRT_GUARDED_BY(m) = 0;
+    /// An extend() threw part-way; the frontier is not exact any more.
+    bool broken STRT_GUARDED_BY(m) = false;
+  };
+  FingerprintMemo<std::shared_ptr<FrontierEntry>> frontiers;
+  FingerprintMemo<std::shared_ptr<const std::optional<Rational>>>
+      utilizations;
+
   std::atomic<std::uint64_t> hits{0};
   std::atomic<std::uint64_t> misses{0};
   std::atomic<std::uint64_t> bytes{0};
@@ -146,6 +165,21 @@ struct Workspace::Impl {
     static obs::Counter& ch = obs::counter("cache.inverse_hits");
     static obs::Counter& cm = obs::counter("cache.inverse_misses");
     (hit ? ch : cm).add(1);
+  }
+
+  static std::shared_ptr<const std::optional<Rational>> utilization_entry(
+      const DrtTask& task) {
+    return std::make_shared<const std::optional<Rational>>(
+        strt::utilization(task));
+  }
+
+  /// The memoized utilization of `task`, uncounted (the lookup nested in
+  /// a validate computation is part of that one query).
+  std::optional<Rational> utilization_of(const DrtTask& task) {
+    const std::uint64_t fp = task.fingerprint();
+    auto u = utilizations.find(fp);
+    if (!u) u = utilizations.insert(fp, utilization_entry(task));
+    return *u;
   }
 
   /// The exact-match memo path: a hit returns the cached value; a miss
@@ -199,23 +233,86 @@ CurvePtr Workspace::intern(Staircase c) {
 
 std::shared_ptr<const check::CheckResult> Workspace::validate(
     const DrtTask& task) {
+  if (!caching_) {
+    return std::make_shared<const check::CheckResult>(
+        check::check_task(task));
+  }
   const auto lint = [&] {
-    return std::make_shared<const check::CheckResult>(check::check_task(task));
+    return std::make_shared<const check::CheckResult>(check::check_task(
+        task, [this](const DrtTask& t) { return impl_->utilization_of(t); }));
   };
-  if (!caching_) return lint();
   // The lint pass is pure, so racers produce identical results.
   return impl_->get_or_compute(impl_->validations, task.fingerprint(), lint);
 }
 
-CurvePtr Workspace::workload_curve(const DrtTask& task, Time horizon,
-                                   bool demand) {
-  const auto compute = [&] {
-    return demand ? strt::dbf(task, horizon) : strt::rbf(task, horizon);
-  };
+std::optional<Rational> Workspace::utilization(const DrtTask& task) {
   if (!caching_) {
     impl_->note_miss();
-    return std::make_shared<const Staircase>(compute());
+    return strt::utilization(task);
   }
+  return *impl_->get_or_compute(impl_->utilizations, task.fingerprint(),
+                                [&] { return Impl::utilization_entry(task); });
+}
+
+void Workspace::explore(const DrtTask& task, const ExploreOptions& opts,
+                        const std::function<void(const Frontier&)>& read) {
+  const bool shared = caching_ && opts.prune && !opts.on_progress &&
+                      opts.max_states == ExploreOptions{}.max_states;
+  if (shared) {
+    const std::uint64_t fp = task.fingerprint();
+    std::shared_ptr<Impl::FrontierEntry> entry = impl_->frontiers.find(fp);
+    if (!entry) {
+      entry = impl_->frontiers.insert(
+          fp, std::make_shared<Impl::FrontierEntry>(task));
+    }
+    std::exception_ptr failure;
+    {
+      const MutexLock lock(entry->m);
+      if (!entry->broken) {
+        try {
+          entry->paths.extend(opts.elapsed_limit);
+        } catch (...) {
+          entry->broken = true;  // half-extended: never read again
+          failure = std::current_exception();
+        }
+      }
+      if (!entry->broken && !entry->paths.aborted()) {
+        const std::uint64_t now = entry->paths.bytes();
+        if (now > entry->counted_bytes) {
+          impl_->note_bytes(now - entry->counted_bytes);
+          entry->counted_bytes = now;
+        }
+        read(entry->paths);
+        return;
+      }
+    }
+    // A failed or aborted exploration is never memoized.
+    impl_->frontiers.erase(fp, entry);
+    if (failure) std::rethrow_exception(failure);
+  }
+  Frontier paths(task, opts, /*resumable=*/false);
+  paths.extend(opts.elapsed_limit);
+  read(paths);
+}
+
+CurvePtr Workspace::workload_curve(const DrtTask& task, Time horizon,
+                                   bool demand) {
+  if (!caching_) {
+    impl_->note_miss();
+    return std::make_shared<const Staircase>(demand ? strt::dbf(task, horizon)
+                                                    : strt::rbf(task, horizon));
+  }
+  // Both read off the task's shared exploration.
+  const auto compute = [&] {
+    std::optional<Staircase> curve;
+    explore(task,
+            ExploreOptions{.elapsed_limit = max(Time(0), horizon - Time(1))},
+            [&](const Frontier& paths) {
+              curve = demand ? dbf_of(paths, horizon)
+                             : rbf_of(paths, horizon);
+            });
+    return std::move(*curve);
+  };
   auto& memo = demand ? impl_->dbfs : impl_->rbfs;
   const std::uint64_t fp = task.fingerprint();
 

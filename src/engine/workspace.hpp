@@ -27,6 +27,16 @@
 //     match).
 //   * Pseudo-inverse lookups -- the hot loop of the structural analysis
 //     -- are memoized per (curve, value) via inverse_of().
+//   * One exploration per task: explore() keeps one resumable Frontier
+//     (graph/explore) per task fingerprint, with its own mutex, and
+//     extends it in place.  rbf/dbf misses read their staircases off it
+//     and the structural analysis folds its frontier states and witness
+//     from it, so a busy-window doubling search costs one incremental
+//     exploration in total.  A view at any explored limit is exactly a
+//     fresh explore_paths() there, so the answers do not change.
+//   * utilization() -- a Stern-Brocot search over Bellman-Ford sweeps --
+//     is memoized per task fingerprint, for the analyses' overload checks
+//     and the lint passes.
 //
 // Concurrency: a Workspace is safe to share across strt::exec parallel
 // regions and with the svc::Service worker.  Every memo family is one
@@ -49,8 +59,11 @@
 //
 // Persistence: save_snapshot() serializes the curve-bearing memo
 // families (interned curves, rbf/dbf with full horizon metadata, sbf,
-// derived ops) into the versioned on-disk format strt.engine.snapshot.v2
-// (src/snapshot/), written crash-safe via
+// derived ops) into the versioned on-disk format strt.engine.snapshot.v2.
+// Frontiers and utilizations are not persisted: a loaded rbf/dbf curve
+// needs no exploration, and a frontier is rebuilt on the first query
+// that does (the snapshot bytes stay those of the curve families alone).
+// The format lives in src/snapshot/; files are written crash-safe via
 // tmp+rename; load_snapshot() validates and replays a snapshot into the
 // striped tables through the normal first-insert-wins inserts, so a
 // restarted server answers a known corpus at warm speed from request
@@ -69,13 +82,17 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
+#include "base/rational.hpp"
 #include "base/types.hpp"
 #include "check/diagnostics.hpp"
 #include "curves/staircase.hpp"
 #include "graph/drt.hpp"
+#include "graph/explore.hpp"
 #include "resource/supply.hpp"
 
 namespace strt::engine {
@@ -90,7 +107,8 @@ struct WorkspaceStats {
   /// Curve-level queries that had to compute (all queries when caching is
   /// off).
   std::uint64_t misses{0};
-  /// Approximate bytes of interned curve storage currently held.
+  /// Approximate bytes of interned curve storage and memoized frontiers
+  /// currently held.
   std::uint64_t bytes{0};
   /// Pseudo-inverse point lookups answered from / added to the memo.
   std::uint64_t inverse_hits{0};
@@ -142,6 +160,22 @@ class Workspace {
   /// Exact demand-bound staircase (frame-separated tasks only; throws
   /// like strt::dbf otherwise); memoized like rbf().
   [[nodiscard]] CurvePtr dbf(const DrtTask& task, Time horizon);
+
+  /// Exact long-run utilization (graph/cycle_ratio), memoized by task
+  /// fingerprint.
+  [[nodiscard]] std::optional<Rational> utilization(const DrtTask& task);
+
+  /// Calls read(paths) on an exploration of `task` that covers every span
+  /// <= opts.elapsed_limit; the reader views it at that limit
+  /// (Frontier::stats / for_each_frontier / path_to), which is exactly
+  /// explore_paths(task, opts).  The task's shared frontier is extended
+  /// in place and read under its mutex, so `read` must not call back into
+  /// explore() for the same task.  A private one-shot exploration serves
+  /// instead when caching is off, or when `opts` asks for something the
+  /// shared one does not do (no pruning, a progress hook, or a non-default
+  /// state cap).  An aborted exploration is never memoized.
+  void explore(const DrtTask& task, const ExploreOptions& opts,
+               const std::function<void(const Frontier&)>& read);
 
   /// supply.sbf(horizon), memoized by (supply description, horizon).
   [[nodiscard]] CurvePtr sbf(const Supply& supply, Time horizon);

@@ -15,6 +15,19 @@
 // matched or beaten by the dominator.  The surviving states per vertex
 // form a Pareto skyline, kept sorted by elapsed time.
 //
+// Resumption: a Frontier is the exploration itself, kept between calls.
+// extend(L) expands every state with elapsed <= L.  A resumable frontier
+// still *accepts* children past its limit into the per-vertex skylines
+// (and queues them), and only expands them on a later extend(L').  So
+// every dominance decision matches a run at any larger limit, and a view
+// at any L <= limit() -- arena, parents, frontier order, and all four
+// stats -- is exactly what a fresh explore_paths(L) returns: children are
+// strictly later than their parents, and a state past L can only evict
+// skyline entries past L.  The stats of a view count only events at
+// elapsed <= L, from per-tick cumulative counts.  explore_paths() is a
+// one-shot frontier: it drops children past its limit, exactly as the
+// explorer always did.
+//
 // This engine backs the structural delay analysis (core/structural) and
 // the request-bound function computation (graph/workload); the ablation
 // benchmark E6 runs it with pruning disabled to measure the effect.
@@ -26,6 +39,7 @@
 
 #include "base/types.hpp"
 #include "graph/drt.hpp"
+#include "graph/skyline.hpp"
 
 namespace strt {
 
@@ -100,9 +114,96 @@ struct ExploreResult {
   [[nodiscard]] std::vector<PathState> path_to(std::int32_t state) const;
 };
 
+/// A resumable exploration of one task (see the file comment).
+class Frontier {
+ public:
+  /// Explores `task`, which must outlive the frontier, with the pruning,
+  /// state cap and progress hook of `opts`; `opts.elapsed_limit` is
+  /// ignored (extend() sets the limit).  A one-shot frontier
+  /// (`resumable` false) drops children past its limit and can be
+  /// extended once.
+  Frontier(const DrtTask& task, ExploreOptions opts, bool resumable = true);
+
+  /// Expands every state with elapsed <= limit (a no-op when limit() is
+  /// already that far, or the exploration aborted).
+  void extend(Time limit);
+
+  /// Largest limit explored so far; Time(-1) before the first extend().
+  [[nodiscard]] Time limit() const { return limit_; }
+  [[nodiscard]] bool aborted() const { return totals_.aborted; }
+  [[nodiscard]] const DrtTask& task() const { return *task_; }
+
+  /// What explore_paths(limit) reports, for limit <= limit().  A one-shot
+  /// frontier reports its own run whatever `limit` is.
+  [[nodiscard]] ExploreStats stats(Time limit) const;
+
+  /// Calls fn(arena index, state) for every state of explore_paths(limit)'s
+  /// frontier, in its order.  Indices are this frontier's (see path_to).
+  template <class Fn>
+  void for_each_frontier(Time limit, Fn&& fn) const;
+
+  /// The release path ending in arena state `state` (a for_each_frontier
+  /// index), first job first.
+  [[nodiscard]] std::vector<PathState> path_to(std::int32_t state) const;
+
+  /// explore_paths(limit)'s result, for limit <= limit(), re-indexed.
+  [[nodiscard]] ExploreResult view(Time limit) const;
+
+  /// Approximate heap footprint.
+  [[nodiscard]] std::size_t bytes() const;
+
+ private:
+  /// Cumulative pop counts through one elapsed tick (resumable only).
+  struct TickMark {
+    std::int64_t tick;
+    std::uint64_t popped;    // arena states at elapsed <= tick
+    std::uint64_t expanded;  // expansions at elapsed <= tick
+  };
+
+  friend ExploreResult explore_paths(const DrtTask& task,
+                                     const ExploreOptions& opts);
+
+  [[nodiscard]] bool in_view(const PathState& s, Time limit) const {
+    return !resumable_ || s.elapsed <= limit;
+  }
+
+  const DrtTask* task_;
+  ExploreOptions opts_;
+  bool resumable_;
+  Time limit_{-1};
+  Time max_separation_{0};
+  std::vector<PathState> arena_;
+  std::vector<FlatSkyline> skylines_;
+  BucketQueue queue_{Time(0)};  // re-made for the reach by extend()
+  std::vector<TickMark> marks_;
+  /// Whole-run stats (everything accepted, past the limit too).
+  ExploreStats totals_;
+  bool capped_ = false;
+};
+
 /// Explores all legal minimum-separation release paths of `task` whose
-/// span fits within `opts.elapsed_limit`.
+/// span fits within `opts.elapsed_limit`: a one-shot Frontier.
 [[nodiscard]] ExploreResult explore_paths(const DrtTask& task,
                                           const ExploreOptions& opts);
+
+template <class Fn>
+void Frontier::for_each_frontier(Time limit, Fn&& fn) const {
+  const auto at = [this](std::int32_t idx) -> const PathState& {
+    return arena_[static_cast<std::size_t>(idx)];
+  };
+  if (opts_.prune) {
+    for (const FlatSkyline& s : skylines_) {
+      s.for_each_through(limit, [&](Time, Work, std::int32_t idx) {
+        fn(idx, at(idx));
+      });
+    }
+  } else {
+    for (std::size_t i = 0; i < arena_.size(); ++i) {
+      if (in_view(arena_[i], limit)) {
+        fn(static_cast<std::int32_t>(i), arena_[i]);
+      }
+    }
+  }
+}
 
 }  // namespace strt

@@ -7,19 +7,34 @@
 
 namespace strt {
 
-Staircase rbf(const DrtTask& task, Time horizon, ExploreStats* stats) {
+namespace {
+
+/// One-shot exploration of every span <= horizon - 1 feeding `of`.
+template <class Of>
+Staircase from_exploration(const DrtTask& task, Time horizon,
+                           ExploreStats* stats, Of of) {
   STRT_REQUIRE(horizon >= Time(0), "horizon must be non-negative");
   if (horizon == Time(0)) return Staircase(horizon);
-  ExploreOptions opts;
-  opts.elapsed_limit = horizon - Time(1);
-  ExploreResult res = explore_paths(task, opts);
-  if (stats) *stats = res.stats;
+  Frontier paths(task, ExploreOptions{}, /*resumable=*/false);
+  paths.extend(horizon - Time(1));
+  if (stats) *stats = paths.stats(horizon - Time(1));
+  return of(paths, horizon);
+}
+
+}  // namespace
+
+Staircase rbf(const DrtTask& task, Time horizon, ExploreStats* stats) {
+  return from_exploration(task, horizon, stats, rbf_of);
+}
+
+Staircase rbf_of(const Frontier& paths, Time horizon) {
+  STRT_REQUIRE(horizon >= Time(0), "horizon must be non-negative");
+  if (horizon == Time(0)) return Staircase(horizon);
   std::vector<Step> pts;
-  pts.reserve(res.frontier.size());
-  for (std::int32_t idx : res.frontier) {
-    const PathState& s = res.arena[static_cast<std::size_t>(idx)];
-    pts.push_back(Step{s.elapsed + Time(1), s.work});
-  }
+  paths.for_each_frontier(horizon - Time(1),
+                          [&](std::int32_t, const PathState& s) {
+                            pts.push_back(Step{s.elapsed + Time(1), s.work});
+                          });
   return Staircase::from_points(std::move(pts), horizon);
 }
 
@@ -100,21 +115,25 @@ Work dbf_point(const DrtTask& task, Time t) {
 }
 
 Staircase dbf(const DrtTask& task, Time horizon, ExploreStats* stats) {
+  STRT_REQUIRE(task.has_frame_separation(),
+               "exact dbf staircase requires the frame separation "
+               "property; use dbf_point for general deadlines");
+  return from_exploration(task, horizon, stats, dbf_of);
+}
+
+Staircase dbf_of(const Frontier& paths, Time horizon) {
   STRT_REQUIRE(horizon >= Time(0), "horizon must be non-negative");
+  const DrtTask& task = paths.task();
   STRT_REQUIRE(task.has_frame_separation(),
                "exact dbf staircase requires the frame separation "
                "property; use dbf_point for general deadlines");
   if (horizon == Time(0)) return Staircase(horizon);
-  ExploreOptions opts;
-  opts.elapsed_limit = max(Time(0), horizon - Time(1));
-  ExploreResult res = explore_paths(task, opts);
-  if (stats) *stats = res.stats;
   std::vector<Step> pts;
-  for (std::int32_t idx : res.frontier) {
-    const PathState& s = res.arena[static_cast<std::size_t>(idx)];
-    const Time t = s.elapsed + task.vertex(s.vertex).deadline;
-    if (t <= horizon) pts.push_back(Step{t, s.work});
-  }
+  paths.for_each_frontier(
+      horizon - Time(1), [&](std::int32_t, const PathState& s) {
+        const Time t = s.elapsed + task.vertex(s.vertex).deadline;
+        if (t <= horizon) pts.push_back(Step{t, s.work});
+      });
   return Staircase::from_points(std::move(pts), horizon);
 }
 

@@ -17,6 +17,10 @@ namespace strt {
 [[nodiscard]] Staircase rbf(const DrtTask& task, Time horizon,
                             ExploreStats* stats = nullptr);
 
+/// rbf on [0, horizon] read off an exploration of its task that covers
+/// every span <= horizon - 1 (paths.limit() >= horizon - 1).
+[[nodiscard]] Staircase rbf_of(const Frontier& paths, Time horizon);
+
 /// Demand-bound function at a single point:
 ///   dbf(t) = max over legal runs starting at 0 of the total work of jobs
 ///            with release >= 0 and absolute deadline <= t.
@@ -30,5 +34,8 @@ namespace strt {
 /// contributes the single point (span + deadline(last), total work).
 [[nodiscard]] Staircase dbf(const DrtTask& task, Time horizon,
                             ExploreStats* stats = nullptr);
+
+/// The dbf staircase read off an exploration, like rbf_of().
+[[nodiscard]] Staircase dbf_of(const Frontier& paths, Time horizon);
 
 }  // namespace strt

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "check/check.hpp"
+#include "core/busy_window.hpp"
 #include "engine/fingerprint.hpp"
 #include "engine/workspace.hpp"
 #include "obs/counters.hpp"
@@ -188,10 +189,13 @@ AnalysisOutcome run_request_core(engine::Workspace& ws,
     for (const DrtTask& task : req.tasks) {
       out.diagnostics.merge(check::CheckResult(*ws.validate(task)));
     }
+    const check::UtilizationFn util = [&ws](const DrtTask& t) {
+      return ws.utilization(t);
+    };
     if (req.tasks.size() > 1) {
-      out.diagnostics.merge(check::check_task_set(req.tasks));
+      out.diagnostics.merge(check::check_task_set(req.tasks, util));
     }
-    out.diagnostics.merge(check::check_system(req.tasks, req.supply));
+    out.diagnostics.merge(check::check_system(req.tasks, req.supply, util));
     if (!out.diagnostics.ok()) {
       out.error = "validation failed";
       return finish(OutcomeStatus::kInvalid);
@@ -263,6 +267,13 @@ AnalysisOutcome run_request_core(engine::Workspace& ws,
         break;
       }
     }
+  } catch (const HorizonGuardError& e) {
+    // Utilization right under the supply rate: the lint gate passed (the
+    // busy window exists) but it is too long to materialize.
+    out.diagnostics.add(check::Severity::kError, "supply.near-overload",
+                        req.supply.describe(), e.what());
+    out.error = "busy window past the horizon guard";
+    return finish(OutcomeStatus::kInvalid);
   } catch (const std::exception& e) {
     out.error = e.what();
     return finish(OutcomeStatus::kError);

@@ -151,7 +151,10 @@ enum class OutcomeStatus : std::uint8_t {
   /// The analysis ran to completion; `result` holds the kind's struct.
   kOk,
   /// The validate front gate rejected the request (lint errors in
-  /// `diagnostics`, or a task-slot arity violation in `error`).
+  /// `diagnostics`, or a task-slot arity violation in `error`), or the
+  /// analysis found it outside the tractable domain: a busy window past
+  /// the horizon guard is reported as the supply.near-overload
+  /// diagnostic.
   kInvalid,
   /// The service's admission queue was full (try_submit only).
   kRejected,

@@ -18,6 +18,7 @@
 #include "model/recurring.hpp"
 #include "model/sporadic.hpp"
 #include "resource/supply.hpp"
+#include "svc/api.hpp"
 #include "svc/request_stream.hpp"
 #include "testutil.hpp"
 
@@ -241,6 +242,25 @@ std::vector<Trigger> triggers() {
                      SporadicTask{"s", Work(3), Time(10), Time(2)});
                }});
 
+  t.push_back({"supply.near-overload", [] {
+                 // Utilization 1/(2^17 + 1) right under the rate 1/2^17,
+                 // after a one-job burst: the busy window (about 2^35
+                 // ticks) exists but lies past the horizon guard.  The
+                 // large separations and cycle keep every
+                 // materialization to tens of thousands of steps.
+                 constexpr std::int64_t kCycle = std::int64_t{1} << 17;
+                 DrtBuilder b("slow");
+                 const VertexId x = b.add_vertex("X", Work(1), Time(1));
+                 const VertexId y = b.add_vertex("Y", Work(1), Time(kCycle));
+                 b.add_edge(x, y, Time(1));
+                 b.add_edge(y, y, Time(kCycle + 1));
+                 // Past every horizon searched: no path takes it.
+                 b.add_edge(y, x, Time(std::int64_t{1} << 34));
+                 svc::AnalysisRequest req;
+                 req.tasks = {std::move(b).build()};
+                 req.supply = Supply::tdma(Time(1), Time(kCycle));
+                 return svc::run_request(req).diagnostics;
+               }});
   t.push_back({"supply.overload", [] {
                  const std::vector<DrtTask> tasks{test::clean_task()};
                  // Long-run rate 1/5 == the set's utilization sum.

@@ -3,7 +3,9 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <string>
 
+#include "engine/workspace.hpp"
 #include "graph/explore.hpp"
 #include "model/generator.hpp"
 #include "testutil.hpp"
@@ -171,6 +173,112 @@ TEST(Explore, StateCapReturnsAbortedPartialResult) {
   const ExploreResult pruned =
       explore_paths(task, ExploreOptions{.elapsed_limit = Time(500)});
   EXPECT_FALSE(pruned.stats.aborted);
+}
+
+/// Field-by-field equality of two exploration results.
+void expect_same(const ExploreResult& got, const ExploreResult& want,
+                 const std::string& what) {
+  ASSERT_EQ(got.arena.size(), want.arena.size()) << what;
+  for (std::size_t i = 0; i < want.arena.size(); ++i) {
+    const PathState& g = got.arena[i];
+    const PathState& w = want.arena[i];
+    EXPECT_EQ(g.vertex, w.vertex) << what << " arena " << i;
+    EXPECT_EQ(g.elapsed, w.elapsed) << what << " arena " << i;
+    EXPECT_EQ(g.work, w.work) << what << " arena " << i;
+    EXPECT_EQ(g.parent, w.parent) << what << " arena " << i;
+  }
+  EXPECT_EQ(got.frontier, want.frontier) << what;
+  EXPECT_EQ(got.stats.generated, want.stats.generated) << what;
+  EXPECT_EQ(got.stats.expanded, want.stats.expanded) << what;
+  EXPECT_EQ(got.stats.pruned, want.stats.pruned) << what;
+  EXPECT_EQ(got.stats.aborted, want.stats.aborted) << what;
+}
+
+DrtTask generated_task(Rng& rng, std::size_t max_vertices, Time max_sep) {
+  DrtGenParams params;
+  params.min_vertices = 2;
+  params.max_vertices = max_vertices;
+  params.min_separation = Time(2);
+  params.max_separation = max_sep;
+  params.chord_probability = 0.4;
+  params.target_utilization = 0.6;
+  return random_drt(rng, params).task;
+}
+
+/// Extends a frontier over a random ascending limit sequence; after each
+/// step, views at the limit and at an earlier point must equal a fresh
+/// explore_paths there.
+void check_prefix_consistency(const DrtTask& task, bool prune,
+                              std::int64_t max_step, Rng& rng,
+                              const std::string& what) {
+  Frontier f(task, ExploreOptions{.prune = prune});
+  std::int64_t limit = 0;
+  for (int step = 0; step < 6; ++step) {
+    limit += rng.uniform_int(0, max_step);
+    f.extend(Time(limit));
+    ASSERT_EQ(f.limit(), Time(limit)) << what;
+    for (const std::int64_t q : {limit, rng.uniform_int(0, limit)}) {
+      const ExploreOptions fresh{.elapsed_limit = Time(q), .prune = prune};
+      expect_same(f.view(Time(q)), explore_paths(task, fresh),
+                  what + " step " + std::to_string(step) + " view " +
+                      std::to_string(q));
+    }
+  }
+}
+
+TEST(Frontier, ExtendedViewsEqualFreshExplorations) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 40; ++trial) {
+    const DrtTask task = generated_task(rng, 8, Time(25));
+    check_prefix_consistency(task, /*prune=*/true, 90, rng,
+                             "trial " + std::to_string(trial));
+  }
+}
+
+TEST(Frontier, UnprunedViewsEqualFreshExplorations) {
+  Rng rng(977);
+  for (int trial = 0; trial < 15; ++trial) {
+    const DrtTask task = generated_task(rng, 4, Time(9));
+    check_prefix_consistency(task, /*prune=*/false, 8, rng,
+                             "unpruned trial " + std::to_string(trial));
+  }
+}
+
+TEST(Frontier, WorkspaceExplorationEqualsFreshOneInAnyQueryOrder) {
+  // Through the shared frontier, in descending, ascending and repeated
+  // limit order: every read is explore_paths at that limit.
+  Rng rng(31337);
+  const DrtTask task = generated_task(rng, 8, Time(25));
+  engine::Workspace ws(true);
+  for (const std::int64_t q : {120, 40, 300, 300, 7, 0, 180}) {
+    ExploreResult got;
+    ws.explore(task, ExploreOptions{.elapsed_limit = Time(q)},
+               [&](const Frontier& f) { got = f.view(Time(q)); });
+    expect_same(got,
+                explore_paths(task, ExploreOptions{.elapsed_limit = Time(q)}),
+                "limit " + std::to_string(q));
+  }
+  EXPECT_GT(ws.stats().bytes, 0u);  // the frontier is memoized
+}
+
+TEST(Frontier, CappedAndCancelledExplorationsLeaveNoMemoEntry) {
+  const DrtTask task = test::small_task();
+  engine::Workspace ws(true);
+  const ExploreOptions capped{.elapsed_limit = Time(500),
+                              .prune = true,
+                              .max_states = 20};
+  ExploreOptions cancelled{.elapsed_limit = Time(500), .progress_every = 5};
+  cancelled.on_progress = [](const ExploreProgress&) { return false; };
+  for (const ExploreOptions& opts : {capped, cancelled}) {
+    ExploreResult got;
+    ws.explore(task, opts, [&](const Frontier& f) {
+      got = f.view(opts.elapsed_limit);
+    });
+    EXPECT_TRUE(got.stats.aborted);
+    expect_same(got, explore_paths(task, opts), "aborted run");
+  }
+  // Neither run touched the memo: no frontier bytes were ever counted.
+  EXPECT_EQ(ws.stats().bytes, 0u);
 }
 
 TEST(Explore, NegativeLimitRejected) {

@@ -186,6 +186,83 @@ TEST(BucketQueue, MatchesPriorityQueueOrder) {
   }
 }
 
+TEST(BucketQueue, ResumedBoundsKeepTheOrderAndTallies) {
+  // The resumable explorer's use: pops up to a growing bound, the queue
+  // parked in between, pushes up to `reach` past the cursor (past the
+  // bound too), and tallies of unqueued events.  The pop order must match
+  // one unbounded heap run, and tallied_through() must count every tally
+  // at or below its tick.  Scale 1 keeps the buckets in the ring; the
+  // large scale spreads the ticks past kDenseLimit, into the map.
+  struct QItem {
+    Time elapsed;
+    Work work;
+    std::int32_t idx;
+  };
+  auto cmp = [](const QItem& a, const QItem& b) {
+    if (a.elapsed != b.elapsed) return a.elapsed > b.elapsed;
+    if (a.work != b.work) return a.work < b.work;
+    return a.idx > b.idx;
+  };
+  Rng rng(2024);
+  for (const std::int64_t scale : {std::int64_t{1}, std::int64_t{1} << 16}) {
+    for (int trial = 0; trial < 30; ++trial) {
+      const std::int64_t reach = 30 * scale;
+      const std::int64_t end = 400 * scale;  // no pushes from here on
+      std::int64_t bound = 0;
+      BucketQueue q{Time(reach), Time(bound)};
+      std::priority_queue<QItem, std::vector<QItem>, decltype(cmp)> heap(cmp);
+      std::map<std::int64_t, std::uint64_t> tallies;
+      std::int32_t next_idx = 0;
+      for (int i = 0; i < 4; ++i) {
+        const Work w(rng.uniform_int(0, 9));
+        q.push(Time(0), w, next_idx);
+        heap.push(QItem{Time(0), w, next_idx++});
+      }
+      const auto pop_through = [&](std::int64_t b) {
+        Time elapsed(0);
+        BucketQueue::Item item{};
+        while (q.pop(elapsed, item)) {
+          ASSERT_FALSE(heap.empty());
+          const QItem expect = heap.top();
+          heap.pop();
+          ASSERT_EQ(elapsed, expect.elapsed) << "trial " << trial;
+          ASSERT_EQ(item.idx, expect.idx) << "trial " << trial;
+          for (std::int64_t k = rng.uniform_int(0, 2); k > 0; --k) {
+            const Time child = elapsed + Time(rng.uniform_int(1, 30) * scale);
+            const Work w(rng.uniform_int(0, 9));
+            if (rng.uniform_int(0, 2) == 0) {
+              q.tally(child);
+              ++tallies[child.count()];
+            } else if (child.count() < end) {
+              q.push(child, w, next_idx);
+              heap.push(QItem{child, w, next_idx++});
+            }
+          }
+        }
+        // Nothing at or below the bound is left.
+        EXPECT_TRUE(heap.empty() || heap.top().elapsed > Time(b));
+      };
+      while (bound < end) {
+        pop_through(bound);
+        q.park();
+        bound += rng.uniform_int(1, 40) * scale;
+        q.resume(Time(bound));
+      }
+      pop_through(bound);
+      EXPECT_TRUE(heap.empty());
+      EXPECT_EQ(q.size(), 0u);
+      // The queue ran empty: every tally is logged.
+      std::uint64_t running = 0;
+      for (const auto& [tick, n] : tallies) {
+        EXPECT_EQ(q.tallied_through(Time(tick - 1)), running) << tick;
+        running += n;
+        EXPECT_EQ(q.tallied_through(Time(tick)), running) << tick;
+      }
+      EXPECT_EQ(q.tallied_through(Time::unbounded()), running);
+    }
+  }
+}
+
 TEST(BucketQueue, SparseFallbackBeyondDenseLimit) {
   // A limit past kDenseLimit must not allocate a bucket per tick.
   const Time limit(BucketQueue::kDenseLimit + 1000);

@@ -172,6 +172,46 @@ TEST(SvcApi, LintErrorsYieldInvalidWithDiagnostics) {
   EXPECT_TRUE(out.diagnostics.has("drt.wcet-exceeds-deadline"));
 }
 
+/// A system whose utilization sits right under a TDMA rate of 1/2^17:
+/// n tasks, each a one-job burst X followed by a loop Y of utilization
+/// 1/(n * (2^17 + 1)).  The lint gate passes (the busy window exists),
+/// but the bursts take about 2^36 ticks to drain, past the horizon guard.
+/// The large separations and cycle keep every materialization to tens of
+/// thousands of steps.
+AnalysisRequest near_overload_request(AnalysisKind kind) {
+  constexpr std::int64_t kCycle = std::int64_t{1} << 17;
+  AnalysisRequest req;
+  req.kind = kind;
+  const std::int64_t n = kind == AnalysisKind::kStructural ? 1 : 2;
+  for (std::int64_t i = 0; i < n; ++i) {
+    DrtBuilder b("slow" + std::to_string(i));
+    const VertexId x = b.add_vertex("X", Work(1), Time(1));
+    // Distinct deadlines keep the tasks' fingerprints apart.
+    const VertexId y = b.add_vertex("Y", Work(1), Time(kCycle - i));
+    b.add_edge(x, y, Time(1));
+    b.add_edge(y, y, Time(n * (kCycle + 1)));
+    // Closes the cycle (X is no transient) but lies past every horizon
+    // the search reaches, so no explored path takes it.
+    b.add_edge(y, x, Time(std::int64_t{1} << 34));
+    req.tasks.push_back(std::move(b).build());
+  }
+  req.supply = Supply::tdma(Time(1), Time(kCycle));
+  return req;
+}
+
+TEST(SvcApi, HorizonGuardIsAClassifiedNearOverload) {
+  for (const AnalysisKind kind :
+       {AnalysisKind::kStructural, AnalysisKind::kFp, AnalysisKind::kEdf,
+        AnalysisKind::kAudsley}) {
+    const AnalysisOutcome out = run_request(near_overload_request(kind));
+    EXPECT_EQ(out.status, OutcomeStatus::kInvalid) << kind_name(kind);
+    EXPECT_EQ(out.diagnostics.count("supply.near-overload"), 1u)
+        << kind_name(kind);
+    EXPECT_FALSE(out.diagnostics.ok());
+    EXPECT_FALSE(out.error.empty());
+  }
+}
+
 TEST(SvcService, OutcomesBitIdenticalToOneShotAcrossKinds) {
   ServiceOptions sopts;
   sopts.max_batch = 16;
