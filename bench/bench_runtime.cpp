@@ -5,7 +5,7 @@
 // explored/pruned state counts alongside wall time.
 //
 // After the microbenchmarks, a speedup section times the same structural
-// sweep serially (STRT_THREADS=1) and on the exec pool, checks the
+// sweep serially (STRT_THREADS=1) and as a parallel loop, checks the
 // results are bit-identical, times the overhauled explorer against the
 // pre-overhaul implementation (std::map skyline + std::priority_queue
 // agenda, kept as the bench-only strt_bench_legacy library), and times a

@@ -6,16 +6,15 @@
 // per system -- is answered two ways: the cold
 // per-request baseline (svc::run_request on a fresh private workspace,
 // serially, the way a one-shot CLI would) and the warm batch service
-// (one long-lived shared workspace, fingerprint batching, parallel batch
-// tails).  The bench checks the two outcome streams are bit-identical
-// before reporting any timing, then reports the throughput of each path
-// and their ratio.
+// (one long-lived shared workspace, fingerprint batching).  The bench
+// checks the two outcome streams are bit-identical before reporting any
+// timing, then reports the throughput of each path and their ratio.
 //
 // Expected shape: the service amortizes every rbf/dbf/sbf/derived-curve
 // memo across the requests that share a task system, so its throughput
 // is a multiple of the baseline's (>= 2x is the regression bar, enforced
 // through the exit code; the ratio grows with requests-per-system).  The
-// `serial no-batch` ablation row isolates how much of the win is cache
+// `warm no-batch` ablation row isolates how much of the win is cache
 // warmth alone.
 //
 // Per-request latency is reported as service time (OutcomeStats::run_us,
@@ -249,15 +248,14 @@ int main() {
     cold_ms = phase.millis();
   }
 
-  // Warm batch service (the production configuration) and the serial
-  // no-batch ablation (shared warm workspace only).
+  // Warm batch service (the production configuration) and the no-batch
+  // ablation (shared warm workspace only).
   svc::ServiceOptions warm_opts;
   warm_opts.start_paused = true;
   warm_opts.queue_capacity = reqs.size() + 1;
   warm_opts.max_batch = 64;
   svc::ServiceOptions ablation_opts = warm_opts;
   ablation_opts.batch_by_fingerprint = false;
-  ablation_opts.parallel_batches = false;
 
   svc::ServiceStats warm_stats;
   std::vector<svc::AnalysisOutcome> served;
@@ -272,7 +270,7 @@ int main() {
   std::vector<svc::AnalysisOutcome> ablated;
   double ablation_ms = 0;
   {
-    Phase phase("warm_serial_nobatch");
+    Phase phase("warm_nobatch");
     ablated = serve(ablation_opts, reqs, ablation_stats);
     ablation_ms = phase.millis();
   }
@@ -299,7 +297,7 @@ int main() {
                "batches", "batched reqs"});
   table.add_row({"cold per-request", fmt_ratio(cold_ms),
                  fmt_ratio(throughput(cold_ms), 0), "1.00x", "-", "-"});
-  table.add_row({"warm serial no-batch", fmt_ratio(ablation_ms),
+  table.add_row({"warm no-batch", fmt_ratio(ablation_ms),
                  fmt_ratio(throughput(ablation_ms), 0),
                  fmt_ratio(cold_ms / ablation_ms) + "x",
                  std::to_string(ablation_stats.batches),
@@ -316,7 +314,7 @@ int main() {
 
   report.metric("cold_ms", cold_ms);
   report.metric("warm_ms", warm_ms);
-  report.metric("warm_serial_nobatch_ms", ablation_ms);
+  report.metric("warm_nobatch_ms", ablation_ms);
   report.metric("cold_req_per_s", throughput(cold_ms));
   report.metric("warm_req_per_s", throughput(warm_ms));
   report.metric("speedup", speedup);

@@ -29,10 +29,10 @@
 
 namespace strt::bench {
 
-/// Runs `n` independent trials over the exec pool and returns the results
-/// in trial order.  Trial i draws from Rng::split(seed, i), so the trial
-/// sequence -- generated task sets included -- is identical whether the
-/// sweep runs serially (STRT_THREADS=1) or across every core.  fn takes
+/// Runs `n` independent trials as an exec parallel loop and returns the
+/// results in trial order.  Trial i draws from Rng::split(seed, i), so the
+/// trial sequence -- generated task sets included -- is identical whether
+/// the sweep runs serially (STRT_THREADS=1) or across every core.  fn takes
 /// (Rng&, trial_index) and returns the trial's result; rejection loops
 /// (regenerate until the instance fits the supply) belong inside fn,
 /// where they stay deterministic per index.

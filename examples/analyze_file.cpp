@@ -13,7 +13,7 @@
 //
 // `--no-cache` disables the engine workspace memoization (results are
 // bit-identical; useful for ablations) and `--threads N` pins the exec
-// pool size (0 = hardware default).  A thread count or deadline that is
+// participant count (0 = hardware default).  A thread count or deadline that is
 // not a whole non-negative number is rejected with exit code 2.
 //
 // `--snapshot PATH` warm-starts the workspace from a persistent snapshot

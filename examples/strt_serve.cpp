@@ -30,11 +30,11 @@
 // status "invalid" carrying the parse diagnostics.
 //
 // Service knobs: --queue N (admission queue bound), --batch N (dispatch
-// window), --no-batch (no fingerprint grouping), --serial (no parallel
-// batch tail), --no-cache (cold workspace ablation), --threads N (0 =
-// hardware default), --snapshot PATH (persistent warm-start cache:
-// loaded at startup, saved crash-safe at every drain and at shutdown;
-// defaults to STRT_SNAPSHOT).
+// window), --no-batch (no fingerprint grouping), --no-cache (cold
+// workspace ablation), --threads N (participants of a sensitivity
+// request's per-parameter searches; 0 = hardware default), --snapshot
+// PATH (persistent warm-start cache: loaded at startup, saved crash-safe
+// at every drain and at shutdown; defaults to STRT_SNAPSHOT).
 // Results are bit-identical across all of these; only the timings move.
 // A count that is not a whole number in range (e.g. --queue abc or
 // --queue -1) is rejected with exit code 2.
@@ -142,8 +142,6 @@ int main(int argc, char** argv) {
       sopts.max_batch = next_count(/*min=*/1);
     } else if (arg == "--no-batch") {
       sopts.batch_by_fingerprint = false;
-    } else if (arg == "--serial") {
-      sopts.parallel_batches = false;
     } else if (arg == "--no-cache") {
       sopts.caching = false;
     } else if (arg == "--snapshot") {
@@ -164,7 +162,7 @@ int main(int argc, char** argv) {
       std::cerr << "unknown flag '" << arg << "'\n"
                 << "usage: strt_serve [requests-file] [--format jsonl|csv] "
                    "[--task-dir DIR] [--report out.json] [--queue N] "
-                   "[--batch N] [--no-batch] [--serial] "
+                   "[--batch N] [--no-batch] "
                    "[--no-cache] [--snapshot PATH] "
                    "[--threads N] [--telemetry-dir DIR] "
                    "[--lockdep-report]\n";

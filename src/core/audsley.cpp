@@ -1,12 +1,9 @@
 #include "core/audsley.hpp"
 
-#include <algorithm>
-
 #include "base/assert.hpp"
 #include "core/busy_window.hpp"
 #include "curves/minplus.hpp"
 #include "engine/workspace.hpp"
-#include "exec/exec.hpp"
 #include "graph/workload.hpp"
 
 namespace strt {
@@ -47,33 +44,25 @@ AudsleyResult audsley_assignment(engine::Workspace& ws,
   StructuralOptions inner = opts;
   inner.want_witness = false;
 
-  while (!unassigned.empty()) {
-    // All candidates at this level are probed in parallel (speculative:
-    // a serial run stops at the first fit).  The first fitting position
-    // is selected and tests_run counts the probes the serial scan would
-    // have made, so the result -- order, feasibility, tests_run -- is
-    // bit-identical to a STRT_THREADS=1 run.
-    const std::vector<char> fits =
-        exec::parallel_map(unassigned.size(), [&](std::size_t pos) {
-          const std::size_t cand = unassigned[pos];
-          engine::CurvePtr hp_sum = ws.intern(Staircase(horizon));
-          for (const std::size_t other : unassigned) {
-            if (other == cand) continue;
-            hp_sum = ws.pointwise_add(*hp_sum, *rbfs[other]);
-          }
-          const engine::CurvePtr leftover = ws.leftover_service(*sv, *hp_sum);
-          const StructuralResult st =
-              structural_delay_vs(ws, tasks[cand], *leftover, inner);
-          return static_cast<char>(st.meets_vertex_deadlines);
-        });
-    const auto first_fit = std::find(fits.begin(), fits.end(), char{1});
-    if (first_fit == fits.end()) {
-      res.tests_run += unassigned.size();
-      return res;  // no task fits at this level: infeasible
+  // Candidate at a level: does it meet its deadlines below every other
+  // unassigned task?
+  const auto fits = [&](std::size_t cand) {
+    ++res.tests_run;
+    engine::CurvePtr hp_sum = ws.intern(Staircase(horizon));
+    for (const std::size_t other : unassigned) {
+      if (other == cand) continue;
+      hp_sum = ws.pointwise_add(*hp_sum, *rbfs[other]);
     }
-    const auto pos =
-        static_cast<std::size_t>(first_fit - fits.begin());
-    res.tests_run += pos + 1;
+    const engine::CurvePtr leftover = ws.leftover_service(*sv, *hp_sum);
+    return structural_delay_vs(ws, tasks[cand], *leftover, inner)
+        .meets_vertex_deadlines;
+  };
+
+  while (!unassigned.empty()) {
+    // The lowest level goes to the first candidate that fits there.
+    std::size_t pos = 0;
+    while (pos < unassigned.size() && !fits(unassigned[pos])) ++pos;
+    if (pos == unassigned.size()) return res;  // none fits: infeasible
     reversed.push_back(unassigned[pos]);
     unassigned.erase(unassigned.begin() + static_cast<std::ptrdiff_t>(pos));
   }

@@ -4,7 +4,6 @@
 #include "core/abstractions.hpp"
 #include "core/busy_window.hpp"
 #include "engine/workspace.hpp"
-#include "exec/exec.hpp"
 #include "curves/minplus.hpp"
 #include "graph/workload.hpp"
 
@@ -62,20 +61,12 @@ FpResult fixed_priority_analysis(engine::Workspace& ws,
     horizon = next_horizon(horizon, "fixed_priority_analysis");
   }
 
-  // The higher-priority interference prefix of level i depends only on
-  // the curves, not on the analyses, so the prefix sums are materialized
-  // serially (cheap pointwise adds) and the expensive per-level
-  // structural + curve analyses fan out over the pool.  Results land in
-  // index order, identical to a serial run.
-  std::vector<engine::CurvePtr> hp_prefix;  // hp_prefix[i]: sum of levels < i
-  hp_prefix.reserve(tasks.size());
+  // Level i sees the leftover of the sum of every higher level's
+  // interference; the sum grows by one level per iteration.
+  res.tasks.reserve(tasks.size());
   engine::CurvePtr hp_sum = ws.intern(Staircase(horizon));
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    hp_prefix.push_back(hp_sum);
-    hp_sum = ws.pointwise_add(*hp_sum, *contribs[i]);
-  }
-  res.tasks = exec::parallel_map(tasks.size(), [&](std::size_t i) {
-    const engine::CurvePtr leftover = ws.leftover_service(*sv, *hp_prefix[i]);
+    const engine::CurvePtr leftover = ws.leftover_service(*sv, *hp_sum);
     FpTaskResult tr;
     tr.task_index = i;
 
@@ -90,8 +81,9 @@ FpResult fixed_priority_analysis(engine::Workspace& ws,
     const CurveResult cv = curve_delay_vs(*rbfs[i], *leftover);
     tr.curve_delay = cv.delay;
     tr.curve_backlog = cv.backlog;
-    return tr;
-  });
+    res.tasks.push_back(std::move(tr));
+    hp_sum = ws.pointwise_add(*hp_sum, *contribs[i]);
+  }
   return res;
 }
 

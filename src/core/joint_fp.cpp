@@ -8,7 +8,6 @@
 #include "core/busy_window.hpp"
 #include "curves/minplus.hpp"
 #include "engine/workspace.hpp"
-#include "exec/exec.hpp"
 #include "graph/workload.hpp"
 #include "obs/counters.hpp"
 #include "obs/span.hpp"
@@ -180,17 +179,10 @@ JointFpResult joint_multi_task_fp(engine::Workspace& ws,
   }
 
   {
-    // Each candidate's leftover + structural analysis is independent;
-    // fan them out and fold the per-candidate results serially in index
-    // order, so the outcome is bit-identical to a STRT_THREADS=1 run.
     const obs::Span analyze_span("joint_fp.analyze");
-    const std::vector<StructuralResult> per_path =
-        exec::parallel_map(combined.size(), [&](std::size_t i) {
-          const engine::CurvePtr leftover =
-              ws.leftover_service(*sv, combined[i]);
-          return structural_delay_vs(ws, lp, *leftover, sopts);
-        });
-    for (const StructuralResult& sr : per_path) {
+    for (const Staircase& interference : combined) {
+      const engine::CurvePtr leftover = ws.leftover_service(*sv, interference);
+      const StructuralResult sr = structural_delay_vs(ws, lp, *leftover, sopts);
       ++res.paths_analyzed;
       accumulate(res.explore_stats, sr.stats);
       res.joint_delay = max(res.joint_delay, sr.delay);

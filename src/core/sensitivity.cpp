@@ -83,9 +83,9 @@ SensitivityReport sensitivity_analysis(engine::Workspace& ws,
 
   // Every per-parameter search (bracket + binary search) probes its own
   // perturbed task copies and touches nothing shared, so the vertex and
-  // edge sweeps fan out over the pool; each slot is written by exactly
-  // one parameter's search, making the report independent of the
-  // schedule.
+  // edge sweeps run as parallel loops (bench_sensitivity gates the
+  // speedup); each slot is written by exactly one parameter's search,
+  // making the report independent of the schedule.
   report.wcet_slack = exec::parallel_map(
       task.vertex_count(), [&](std::size_t vi) -> Work {
         const auto v = static_cast<VertexId>(vi);

@@ -22,9 +22,10 @@ namespace strt {
 /// graph with edge weights b*wcet(u) - a*separation(u,v) has a positive
 /// cycle iff U > q and a zero-weight (but no positive) cycle iff U == q.
 /// Candidates are driven by Stern-Brocot "simplest rational in the
-/// interval" probes, which converges in O(log) probes because U's
-/// continued-fraction expansion has logarithmic length.  Each probe is a
-/// Bellman-Ford longest-path sweep, O(V * E).
+/// interval" probes, one tree node per probe, so the probe count is the
+/// sum of the partial quotients of U's continued fraction -- not
+/// logarithmic: a one-vertex loop of wcet 1 and separation s takes about s
+/// probes.  Each probe is a Bellman-Ford longest-path sweep, O(V * E).
 [[nodiscard]] std::optional<Rational> utilization(const DrtTask& task);
 
 namespace detail {

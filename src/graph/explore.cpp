@@ -16,7 +16,7 @@ namespace {
 /// one's arena: explorations repeat with near-identical state counts
 /// inside sensitivity sweeps, joint-FP candidate loops, and bench trials,
 /// so last run's size is a good reservation hint.  Atomic because runs
-/// execute concurrently under exec::parallel_for.
+/// execute concurrently (sensitivity's parallel searches, bench trials).
 std::atomic<std::size_t> g_arena_hint{0};
 
 /// Never reserve more than this many states up front (a one-off huge

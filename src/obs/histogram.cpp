@@ -1,6 +1,7 @@
 #include "obs/histogram.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "base/mutex.hpp"
 #include "base/thread_annotations.hpp"
@@ -47,6 +48,8 @@ struct Histogram::Shard {
 struct Histogram::Impl {
   mutable Mutex mu;
   std::vector<std::unique_ptr<Shard>> shards STRT_GUARDED_BY(mu);
+  /// Shards whose recording thread exited, adopted by the next new one.
+  std::vector<Shard*> idle STRT_GUARDED_BY(mu);
   /// Distinct id per histogram instance, indexing the thread-local
   /// shard-pointer cache (see local_shard()).
   std::size_t id = 0;
@@ -70,16 +73,34 @@ Histogram::Histogram() : impl_(new Impl) {
 Histogram::~Histogram() = default;
 
 Histogram::Shard& Histogram::local_shard() {
-  // Per-thread cache: histogram id -> this thread's shard.  Raw pointers
-  // stay valid because histogram cells live for the process lifetime
-  // (registry cells are never destroyed) and shards are never deleted.
-  thread_local std::vector<Shard*> tls_shards;
-  if (tls_shards.size() <= impl_->id) tls_shards.resize(impl_->id + 1);
-  Shard*& slot = tls_shards[impl_->id];
+  // Per-thread cache: histogram id -> (Impl, this thread's shard).  Raw
+  // pointers stay valid because Impls and shards are never deleted.  At
+  // thread exit the shards go idle and keep their counts; the next thread
+  // to record adopts one instead of adding a shard, so threads started per
+  // call (exec helpers) do not grow the shard list.
+  struct Local {
+    std::vector<std::pair<Impl*, Shard*>> slots;
+    ~Local() {
+      for (const auto& [impl, shard] : slots) {
+        if (shard == nullptr) continue;
+        const MutexLock lock(impl->mu);
+        impl->idle.push_back(shard);
+      }
+    }
+  };
+  thread_local Local tls;
+  if (tls.slots.size() <= impl_->id) tls.slots.resize(impl_->id + 1);
+  auto& [impl, slot] = tls.slots[impl_->id];
   if (slot == nullptr) {
     const MutexLock lock(impl_->mu);
-    impl_->shards.push_back(std::make_unique<Shard>());
-    slot = impl_->shards.back().get();
+    if (impl_->idle.empty()) {
+      impl_->shards.push_back(std::make_unique<Shard>());
+      slot = impl_->shards.back().get();
+    } else {
+      slot = impl_->idle.back();
+      impl_->idle.pop_back();
+    }
+    impl = impl_;
   }
   return *slot;
 }

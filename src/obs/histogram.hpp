@@ -11,8 +11,8 @@
 // bucket array per histogram (created once, under the registry-style
 // mutex), so the hot path is a relaxed atomic increment on memory no
 // other recorder touches -- no lock, no contention, safe concurrent
-// snapshots.  Shards of exited threads are retained and keep counting
-// toward snapshots.
+// snapshots.  Shards of exited threads are retained, keep counting
+// toward snapshots, and are adopted by threads that start recording later.
 //
 // Cost model matches counters.hpp: when observability is disabled a
 // record() is one relaxed atomic load plus a branch; enabled records are

@@ -62,8 +62,8 @@ struct TlState {
 
 // The per-thread state must survive being *asked for* after its own
 // destruction: thread-storage objects are destroyed before static ones,
-// and static destructors (the exec pool, obs registries) still lock
-// Mutexes on the way out.  A trivially-destructible pointer + flag pair
+// and later thread-storage and static destructors (histogram shard
+// hand-back, obs registries) still lock Mutexes on the way out.  A trivially-destructible pointer + flag pair
 // stays readable forever; once the owner is destroyed, tls() returns
 // nullptr and the hooks degrade to counting-only behavior.
 thread_local TlState* tl_ptr = nullptr;

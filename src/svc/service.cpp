@@ -13,7 +13,6 @@
 #include "base/mutex.hpp"
 #include "base/thread_annotations.hpp"
 #include "engine/workspace.hpp"
-#include "exec/exec.hpp"
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
 #include "obs/sink.hpp"
@@ -274,8 +273,8 @@ void Service::Impl::process(std::vector<Pending> round) {
           run_request_at(ws, p.req, p.deadline_at, p.admitted);
       out.stats.batch_size = group.size();
       // The leader's run doubles as the group's memo-warm phase: it
-      // populates every shared rbf/dbf/sbf memo before the tail fans
-      // out.  Mark it in the trace so batching is visible per request.
+      // populates every shared rbf/dbf/sbf memo before the tail runs.
+      // Mark it in the trace so batching is visible per request.
       if (leader && group.size() > 1) {
         if (const obs::TraceSpanRecord* run = out.trace.find("run")) {
           obs::TraceSpanRecord warm;
@@ -294,24 +293,13 @@ void Service::Impl::process(std::vector<Pending> round) {
     };
 
     // The group leader runs first and warms every memo the group shares;
-    // the tail then answers mostly from the cache.  Results are
-    // bit-identical either way (Workspace contract), so the split is
-    // purely a throughput device.
+    // the tail then answers mostly from the cache.  Results do not depend
+    // on warmth (Workspace contract).
     std::vector<AnalysisOutcome> outs;
     outs.reserve(group.size());
     outs.push_back(serve(group[0], /*leader=*/true));
-    if (group.size() > 1) {
-      if (opts.parallel_batches) {
-        std::vector<AnalysisOutcome> tail =
-            exec::parallel_map(group.size() - 1, [&](std::size_t i) {
-              return serve(group[i + 1], /*leader=*/false);
-            });
-        for (AnalysisOutcome& o : tail) outs.push_back(std::move(o));
-      } else {
-        for (std::size_t i = 1; i < group.size(); ++i) {
-          outs.push_back(serve(group[i], /*leader=*/false));
-        }
-      }
+    for (std::size_t i = 1; i < group.size(); ++i) {
+      outs.push_back(serve(group[i], /*leader=*/false));
     }
 
     // Attribute the batch's cache delta to every member, then fulfill.

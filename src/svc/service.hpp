@@ -15,8 +15,8 @@
 //     requests and groups them by request_fingerprint() -- task set plus
 //     supply -- in arrival order.  The first request of a group runs
 //     first and warms every rbf/dbf/sbf/derived-curve memo the group
-//     shares; the rest of the group answers mostly from the cache, fanned
-//     out across the strt::exec pool.
+//     shares; the rest of the group then runs serially on the worker and
+//     answers mostly from the cache.
 //   * Deadlines/cancellation: a request whose wall-clock budget expired
 //     while queued is answered kDeadlineExpired without running; budgets
 //     and CancelTokens of running requests are checked at every explorer
@@ -70,9 +70,6 @@ struct ServiceOptions {
   /// strict arrival order, one batch per request (ablation switch;
   /// results are identical either way).
   bool batch_by_fingerprint = true;
-  /// Fan a group's cache-warm tail across the exec pool (ablation
-  /// switch; results are identical either way).
-  bool parallel_batches = true;
   /// Workspace memoization (the warm-cache amortization this service
   /// exists for; off is the cold ablation).
   bool caching = true;

@@ -4,8 +4,10 @@
 
 #include "core/audsley.hpp"
 #include "core/fixed_priority.hpp"
+#include "exec/exec.hpp"
 #include "model/generator.hpp"
 #include "model/sporadic.hpp"
+#include "obs/counters.hpp"
 #include "testutil.hpp"
 
 namespace strt {
@@ -42,6 +44,30 @@ TEST(Audsley, FindsOrderForClassicSet) {
   ASSERT_EQ(res.order.size(), 2u);
   EXPECT_EQ(res.order[0], 1u);  // "fast" gets the higher priority
   EXPECT_EQ(res.order[1], 0u);
+}
+
+TEST(Audsley, StopsAtTheFirstFittingCandidate) {
+  // Given lowest-urgency first, every level's first candidate fits, so
+  // the scan makes one structural probe per level and tests_run counts
+  // exactly the probes made.
+  std::vector<DrtTask> tasks;
+  tasks.push_back(SporadicTask{"slow", Work(3), Time(30), Time(30)}.to_drt());
+  tasks.push_back(SporadicTask{"mid", Work(2), Time(10), Time(10)}.to_drt());
+  tasks.push_back(SporadicTask{"fast", Work(1), Time(4), Time(4)}.to_drt());
+  exec::set_thread_count(1);
+  obs::set_enabled(true);
+  obs::Registry::global().reset();
+  const AudsleyResult res =
+      audsley_assignment(test::workspace(), tasks, Supply::dedicated(1));
+  const std::uint64_t runs = obs::counter("structural.runs").value();
+  obs::Registry::global().reset();
+  obs::set_enabled(false);
+  exec::set_thread_count(0);
+
+  ASSERT_TRUE(res.feasible);
+  EXPECT_EQ(res.order, (std::vector<std::size_t>{2, 1, 0}));
+  EXPECT_EQ(res.tests_run, 3u);
+  EXPECT_EQ(runs, res.tests_run);
 }
 
 TEST(Audsley, InfeasibleOnOverload) {

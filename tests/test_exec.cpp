@@ -1,6 +1,6 @@
-// strt::exec -- pool mechanics: full coverage of the iteration space,
-// result ordering, nesting, exception propagation, and thread-count
-// control.
+// strt::exec -- loop mechanics: full coverage of the iteration space
+// (also with concurrent top-level callers), result ordering, nesting,
+// exception propagation, and thread-count control.
 
 #include <gtest/gtest.h>
 
@@ -33,6 +33,29 @@ TEST_F(ExecTest, CoversEveryIndexExactlyOnce) {
         EXPECT_EQ(hits[i].load(), 1) << "threads " << threads << " n " << n
                                      << " index " << i;
       }
+    }
+  }
+}
+
+TEST_F(ExecTest, ConcurrentTopLevelCallersEachCoverTheirRange) {
+  // Two unrelated threads may each run a top-level loop at once; every
+  // call claims from its own index counter.
+  exec::set_thread_count(4);
+  constexpr std::size_t kN = 1000;
+  std::vector<std::vector<std::atomic<int>>> hits(2);
+  for (auto& h : hits) h = std::vector<std::atomic<int>>(kN);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < hits.size(); ++c) {
+    callers.emplace_back([&hits, c] {
+      exec::parallel_for(kN, [&hits, c](std::size_t i) {
+        hits[c][i].fetch_add(1, std::memory_order_relaxed);
+      });
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (std::size_t c = 0; c < hits.size(); ++c) {
+    for (std::size_t i = 0; i < kN; ++i) {
+      EXPECT_EQ(hits[c][i].load(), 1) << "caller " << c << " index " << i;
     }
   }
 }
@@ -85,7 +108,7 @@ TEST_F(ExecTest, FirstExceptionPropagatesToCaller) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "boom");
   }
-  // The pool stays usable afterwards.
+  // Later loops are unaffected.
   std::atomic<int> after{0};
   exec::parallel_for(
       50, [&](std::size_t) { after.fetch_add(1, std::memory_order_relaxed); });

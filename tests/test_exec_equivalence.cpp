@@ -1,15 +1,11 @@
-// Determinism contract of the parallel analysis layers: for every
-// analysis wired onto exec::parallel_for, an STRT_THREADS=N run must be
-// bit-identical to the STRT_THREADS=1 run -- same delays, same stats,
-// same orders, same counts -- across a population of random task sets.
+// Determinism contract of sensitivity_analysis, the one analysis wired
+// onto exec::parallel_map: an STRT_THREADS=N run must be bit-identical to
+// the STRT_THREADS=1 run across a population of random tasks.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "core/audsley.hpp"
-#include "core/fixed_priority.hpp"
-#include "core/joint_fp.hpp"
 #include "core/sensitivity.hpp"
 #include "exec/exec.hpp"
 #include "model/generator.hpp"
@@ -20,121 +16,30 @@ namespace {
 
 constexpr int kTaskSets = 50;
 
-void expect_same(const ExploreStats& a, const ExploreStats& b) {
-  EXPECT_EQ(a.generated, b.generated);
-  EXPECT_EQ(a.expanded, b.expanded);
-  EXPECT_EQ(a.pruned, b.pruned);
-  EXPECT_EQ(a.aborted, b.aborted);
-}
-
-void expect_same(const FpResult& a, const FpResult& b) {
-  EXPECT_EQ(a.overloaded, b.overloaded);
-  EXPECT_EQ(a.system_busy_window, b.system_busy_window);
-  ASSERT_EQ(a.tasks.size(), b.tasks.size());
-  for (std::size_t i = 0; i < a.tasks.size(); ++i) {
-    EXPECT_EQ(a.tasks[i].task_index, b.tasks[i].task_index);
-    EXPECT_EQ(a.tasks[i].busy_window, b.tasks[i].busy_window);
-    EXPECT_EQ(a.tasks[i].structural_delay, b.tasks[i].structural_delay);
-    EXPECT_EQ(a.tasks[i].curve_delay, b.tasks[i].curve_delay);
-    EXPECT_EQ(a.tasks[i].structural_backlog, b.tasks[i].structural_backlog);
-    EXPECT_EQ(a.tasks[i].curve_backlog, b.tasks[i].curve_backlog);
-    EXPECT_EQ(a.tasks[i].vertex_delays, b.tasks[i].vertex_delays);
-    EXPECT_EQ(a.tasks[i].meets_vertex_deadlines,
-              b.tasks[i].meets_vertex_deadlines);
-    expect_same(a.tasks[i].stats, b.tasks[i].stats);
-  }
-}
-
-void expect_same(const JointFpResult& a, const JointFpResult& b) {
-  EXPECT_EQ(a.overloaded, b.overloaded);
-  EXPECT_EQ(a.joint_delay, b.joint_delay);
-  EXPECT_EQ(a.rbf_delay, b.rbf_delay);
-  EXPECT_EQ(a.paths_enumerated, b.paths_enumerated);
-  EXPECT_EQ(a.paths_analyzed, b.paths_analyzed);
-  EXPECT_EQ(a.busy_window, b.busy_window);
-  expect_same(a.explore_stats, b.explore_stats);
-}
-
-void expect_same(const SensitivityReport& a, const SensitivityReport& b) {
-  EXPECT_EQ(a.feasible, b.feasible);
-  EXPECT_EQ(a.wcet_slack, b.wcet_slack);
-  EXPECT_EQ(a.separation_slack, b.separation_slack);
-}
-
-void expect_same(const AudsleyResult& a, const AudsleyResult& b) {
-  EXPECT_EQ(a.feasible, b.feasible);
-  EXPECT_EQ(a.order, b.order);
-  EXPECT_EQ(a.tests_run, b.tests_run);
-}
-
-/// Runs `analysis` once serial and once on 4 participants and hands both
-/// results to the field-by-field comparison.
-template <class Fn>
-void serial_vs_parallel(Fn&& analysis) {
-  exec::set_thread_count(1);
-  const auto serial = analysis();
-  exec::set_thread_count(4);
-  const auto parallel = analysis();
-  exec::set_thread_count(0);
-  expect_same(serial, parallel);
-}
-
-std::vector<DrtTask> random_set(std::uint64_t seed, std::size_t set_size,
-                                double total_util) {
+DrtTask random_task(std::uint64_t seed) {
   Rng rng = Rng::split(seed, 0);
   DrtGenParams params;
   params.min_vertices = 2;
   params.max_vertices = 4;
   params.min_separation = Time(6);
   params.max_separation = Time(24);
-  auto gen = random_drt_set(rng, set_size, total_util, params);
-  std::vector<DrtTask> tasks;
-  for (auto& g : gen) tasks.push_back(std::move(g.task));
-  return tasks;
-}
-
-TEST(ExecEquivalence, FixedPriorityBitIdentical) {
-  const Supply supply = Supply::dedicated(1);
-  StructuralOptions opts;
-  opts.want_witness = false;
-  for (int t = 0; t < kTaskSets; ++t) {
-    const auto tasks =
-        random_set(1000 + static_cast<std::uint64_t>(t), 3, 0.6);
-    serial_vs_parallel(
-        [&] { return fixed_priority_analysis(test::workspace(), tasks, supply, opts); });
-  }
-}
-
-TEST(ExecEquivalence, JointFpBitIdentical) {
-  const Supply supply = Supply::dedicated(1);
-  for (int t = 0; t < kTaskSets; ++t) {
-    const auto tasks =
-        random_set(2000 + static_cast<std::uint64_t>(t), 3, 0.5);
-    serial_vs_parallel([&] {
-      return joint_multi_task_fp(test::workspace(), {tasks.data(), 2}, tasks[2], supply, {});
-    });
-  }
+  return std::move(random_drt_set(rng, 1, 0.3, params)[0].task);
 }
 
 TEST(ExecEquivalence, SensitivityBitIdentical) {
   const Supply supply = Supply::tdma(Time(5), Time(10));
   for (int t = 0; t < kTaskSets; ++t) {
-    const auto tasks =
-        random_set(3000 + static_cast<std::uint64_t>(t), 1, 0.3);
-    serial_vs_parallel(
-        [&] { return sensitivity_analysis(test::workspace(), tasks[0], supply, {}); });
-  }
-}
-
-TEST(ExecEquivalence, AudsleyBitIdentical) {
-  const Supply supply = Supply::dedicated(1);
-  StructuralOptions opts;
-  opts.want_witness = false;
-  for (int t = 0; t < 10; ++t) {
-    const auto tasks =
-        random_set(4000 + static_cast<std::uint64_t>(t), 4, 0.7);
-    serial_vs_parallel(
-        [&] { return audsley_assignment(test::workspace(), tasks, supply, opts); });
+    const DrtTask task = random_task(3000 + static_cast<std::uint64_t>(t));
+    exec::set_thread_count(1);
+    const SensitivityReport serial =
+        sensitivity_analysis(test::workspace(), task, supply, {});
+    exec::set_thread_count(4);
+    const SensitivityReport parallel =
+        sensitivity_analysis(test::workspace(), task, supply, {});
+    exec::set_thread_count(0);
+    EXPECT_EQ(serial.feasible, parallel.feasible);
+    EXPECT_EQ(serial.wcet_slack, parallel.wcet_slack);
+    EXPECT_EQ(serial.separation_slack, parallel.separation_slack);
   }
 }
 

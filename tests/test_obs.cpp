@@ -399,21 +399,25 @@ TEST_F(ObsTest, HistogramSnapshotMergeAccumulates) {
 
 TEST_F(ObsTest, HistogramShardsMergeAcrossThreads) {
   obs::Histogram& h = obs::histogram("test.shards");
+  // Two waves of 4: the second wave adopts the shards the first left
+  // behind, and both waves' samples must survive.
   constexpr int kThreads = 8;
+  constexpr int kWave = kThreads / 2;
   constexpr std::uint64_t kPerThread = 10'000;
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&h, t] {
-      // Distinct value ranges per thread so a lost shard is visible in
-      // the sum, not only the count.
-      const std::uint64_t base = static_cast<std::uint64_t>(t) * 1000;
-      for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        h.record(base + (i % 997));
-      }
-    });
+  for (int first = 0; first < kThreads; first += kWave) {
+    std::vector<std::thread> workers;
+    for (int t = first; t < first + kWave; ++t) {
+      workers.emplace_back([&h, t] {
+        // Distinct value ranges per thread so a lost shard is visible in
+        // the sum, not only the count.
+        const std::uint64_t base = static_cast<std::uint64_t>(t) * 1000;
+        for (std::uint64_t i = 0; i < kPerThread; ++i) {
+          h.record(base + (i % 997));
+        }
+      });
+    }
+    for (std::thread& w : workers) w.join();
   }
-  for (std::thread& w : workers) w.join();
 
   const obs::HistogramSnapshot snap = h.snapshot();
   EXPECT_EQ(snap.count, kThreads * kPerThread);

@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "base/mutex.hpp"
-#include "exec/exec.hpp"
 #include "model/generator.hpp"
 #include "race/hook.hpp"
 #include "race/lockdep.hpp"
@@ -490,7 +489,6 @@ svc::ServiceOptions explored_opts() {
   svc::ServiceOptions o;
   o.queue_capacity = 2;
   o.max_batch = 1;
-  o.parallel_batches = false;
   return o;
 }
 
@@ -500,7 +498,6 @@ svc::ServiceOptions explored_opts() {
 /// identical under replay.
 void warm_service_statics(const svc::ServiceOptions& sopts,
                           const svc::AnalysisRequest& req) {
-  exec::set_thread_count(1);
   svc::Service svc(sopts);
   svc::AnalysisRequest r = req;
   std::future<svc::AnalysisOutcome> fut = svc.submit(std::move(r));

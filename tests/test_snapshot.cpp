@@ -394,8 +394,8 @@ TEST(SnapshotWarmStart, ServiceRestartServesWarmBitIdentical) {
   }
 
   // Two submitter threads interleave their admissions, so the loaded
-  // memos are read concurrently with the worker and the pool filling
-  // new ones, and drain() saves while they settle.
+  // memos are read concurrently with the worker filling new ones, and
+  // drain() saves while they settle.
   const auto serve_concurrently = [&](svc::Service& service) {
     std::vector<std::future<svc::AnalysisOutcome>> futs(reqs.size());
     std::vector<std::thread> submitters;
