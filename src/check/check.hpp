@@ -77,7 +77,8 @@ using UtilizationFn = std::function<std::optional<Rational>(const DrtTask&)>;
 
 /// Semantic rules on a built task: drt.wcet-exceeds-deadline,
 /// drt.overutilized, drt.dead-end, drt.transient, drt.acyclic,
-/// drt.not-frame-separated.
+/// drt.not-frame-separated, and drt.overflow when `util` throws
+/// OverflowError.
 [[nodiscard]] CheckResult check_task(const DrtTask& task,
                                      const UtilizationFn& util = utilization);
 

@@ -3,6 +3,7 @@
 #include <string>
 #include <utility>
 
+#include "base/checked.hpp"
 #include "check/check.hpp"
 #include "check/pass.hpp"
 #include "graph/cycle_ratio.hpp"
@@ -133,7 +134,15 @@ CheckResult check_task(const DrtTask& task, const UtilizationFn& util) {
           "staircase is unavailable (rbf-based analyses still apply)");
   }
 
-  if (const auto u = util(task); u && *u >= Rational(1)) {
+  std::optional<Rational> u;
+  try {
+    u = util(task);
+  } catch (const OverflowError& e) {
+    r.add(kError, "drt.overflow", task_loc(task.name()),
+          std::string("long-run utilization leaves int64 arithmetic: ") +
+              e.what());
+  }
+  if (u && *u >= Rational(1)) {
     std::ostringstream msg;
     msg << "long-run utilization " << u->to_string()
         << " >= 1 -- no unit-rate supply can serve this task";

@@ -85,6 +85,8 @@ std::span<const CodeInfo> all_codes() {
        "curve samples decrease over time"},
       {"curve.nonzero-origin", Severity::kWarning,
        "arrival/supply curve is positive at t = 0"},
+      {"curve.too-large", Severity::kError,
+       "a curve on the busy window would pass the builders' step cap"},
       {"curve.unbounded-inverse", Severity::kError,
        "supply curve pseudo-inverse leaves its domain (no growing tail)"},
       {"drt.acyclic", Severity::kWarning,
@@ -104,6 +106,8 @@ std::span<const CodeInfo> all_codes() {
        "vertex wcet is not positive"},
       {"drt.not-frame-separated", Severity::kWarning,
        "a deadline exceeds an outgoing separation (exact dbf unavailable)"},
+      {"drt.overflow", Severity::kError,
+       "long-run utilization leaves int64 arithmetic"},
       {"drt.overutilized", Severity::kError,
        "long-run utilization is at least 1"},
       {"drt.transient", Severity::kWarning,

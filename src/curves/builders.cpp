@@ -1,12 +1,29 @@
 #include "curves/builders.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "base/assert.hpp"
 #include "base/checked.hpp"
 
 namespace strt {
 namespace curve {
+
+CurveSizeError::CurveSizeError(std::string_view curve)
+    : std::runtime_error(std::string(curve) + ": more than " +
+                         std::to_string(kMaxCurveSteps) +
+                         " breakpoints up to the horizon") {}
+
+namespace {
+
+/// The one append of every builder loop: throws CurveSizeError instead of
+/// growing `pts` past kMaxCurveSteps.
+void append(std::vector<Step>& pts, Step step, std::string_view curve) {
+  if (pts.size() >= kMaxCurveSteps) throw CurveSizeError(curve);
+  pts.push_back(step);
+}
+
+}  // namespace
 
 Staircase periodic_arrival(Work wcet, Time period, Time jitter,
                            Time horizon) {
@@ -26,7 +43,7 @@ Staircase periodic_arrival(Work wcet, Time period, Time jitter,
     if (t > horizon.count()) break;
     const std::int64_t v =
         checked::mul(c, checked::ceil_div(t + j, p));
-    pts.push_back(Step{Time(t), Work(v)});
+    append(pts, Step{Time(t), Work(v)}, "periodic_arrival");
   }
   return Staircase::from_points(std::move(pts), horizon)
       .with_tail(Tail{period, wcet});
@@ -40,13 +57,13 @@ Staircase token_bucket(Work burst, const Rational& rate, Time horizon) {
   // a(t) = burst + floor(num * t / den) for t >= 1; jumps where the floor
   // increments, i.e. at t = ceil(v * den / num) for v = 1, 2, ...
   std::vector<Step> pts;
-  pts.push_back(Step{Time(1), burst + Work(rate.floor())});
+  append(pts, Step{Time(1), burst + Work(rate.floor())}, "token_bucket");
   const std::int64_t num = rate.num();
   const std::int64_t den = rate.den();
   for (std::int64_t v = rate.floor() + 1;; ++v) {
     const std::int64_t t = checked::ceil_div(checked::mul(v, den), num);
     if (t > horizon.count()) break;
-    if (t >= 1) pts.push_back(Step{Time(t), burst + Work(v)});
+    if (t >= 1) append(pts, Step{Time(t), burst + Work(v)}, "token_bucket");
   }
   return Staircase::from_points(std::move(pts), horizon)
       .with_tail(Tail{Time(den), Work(num)});
@@ -66,7 +83,7 @@ Staircase rate_latency(const Rational& rate, Time latency, Time horizon) {
         checked::add(latency.count(),
                      checked::ceil_div(checked::mul(v, den), num));
     if (t > horizon.count()) break;
-    pts.push_back(Step{Time(t), Work(v)});
+    append(pts, Step{Time(t), Work(v)}, "rate_latency");
   }
   return Staircase::from_points(std::move(pts), horizon)
       .with_tail(Tail{Time(den), Work(num)});
@@ -91,7 +108,7 @@ Staircase tdma_supply(Time slot, Time cycle, Time horizon) {
     for (std::int64_t u = 1; u <= s; ++u) {
       const std::int64_t t = k * c + (c - s) + u;
       if (t > horizon.count()) break;
-      pts.push_back(Step{Time(t), Work(k * s + u)});
+      append(pts, Step{Time(t), Work(k * s + u)}, "tdma_supply");
       any = true;
     }
     if (!any) break;
@@ -127,7 +144,7 @@ Staircase periodic_resource(Time budget, Time period, Time horizon) {
   for (std::int64_t t = 1; t <= horizon.count(); ++t) {
     const std::int64_t v = sbf(t);
     if (v > prev) {
-      pts.push_back(Step{Time(t), Work(v)});
+      append(pts, Step{Time(t), Work(v)}, "periodic_resource");
       prev = v;
     }
   }
@@ -161,7 +178,7 @@ Staircase schedule_supply(const std::vector<bool>& active, Time horizon) {
       best = std::min(best, cum(s + t) - cum(s));
     }
     if (best > prev) {
-      pts.push_back(Step{Time(t), Work(best)});
+      append(pts, Step{Time(t), Work(best)}, "schedule_supply");
       prev = best;
     }
   }
@@ -185,7 +202,7 @@ Staircase arrival_of_trace(std::vector<TraceJob> jobs, Time horizon) {
       sum += jobs[j].wcet;
       const Time window = jobs[j].release - jobs[i].release + Time(1);
       if (window > horizon) break;
-      pts.push_back(Step{window, sum});
+      append(pts, Step{window, sum}, "arrival_of_trace");
     }
   }
   return Staircase::from_points(std::move(pts), horizon);

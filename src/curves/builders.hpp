@@ -3,8 +3,15 @@
 // Every builder materializes an exact staircase on a caller-chosen horizon
 // and attaches the exact periodic tail, so downstream finitary analyses
 // can extend the curve losslessly to any busy-window length.
+//
+// Materialization is capped at kMaxCurveSteps breakpoints: a builder
+// whose staircase would pass the cap throws CurveSizeError before its
+// step vector grows beyond it.
 #pragma once
 
+#include <cstddef>
+#include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "base/rational.hpp"
@@ -13,6 +20,17 @@
 
 namespace strt {
 namespace curve {
+
+/// Most breakpoints one builder materializes.  The cap counts steps, not
+/// ticks: a supply with long gaps may span far more ticks.
+inline constexpr std::size_t kMaxCurveSteps = std::size_t{1} << 20;
+
+/// Thrown by a builder whose staircase would pass kMaxCurveSteps.  svc
+/// reports it as the curve.too-large diagnostic.
+class CurveSizeError : public std::runtime_error {
+ public:
+  explicit CurveSizeError(std::string_view curve);
+};
 
 /// Upper arrival curve of a sporadic/periodic stream with jitter:
 ///   a(0) = 0,  a(t) = wcet * ceil((t + jitter) / period)  for t >= 1.

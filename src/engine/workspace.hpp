@@ -34,9 +34,9 @@
 //     from it, so a busy-window doubling search costs one incremental
 //     exploration in total.  A view at any explored limit is exactly a
 //     fresh explore_paths() there, so the answers do not change.
-//   * utilization() -- a Stern-Brocot search over Bellman-Ford sweeps --
-//     is memoized per task fingerprint, for the analyses' overload checks
-//     and the lint passes.
+//   * utilization() -- Dinkelbach iteration over Bellman-Ford sweeps, a
+//     handful of probes -- is memoized per task fingerprint, for the
+//     analyses' overload checks and the lint passes.
 //
 // Concurrency: a Workspace is safe to share across strt::exec parallel
 // regions and with the svc::Service worker.  Every memo family is one

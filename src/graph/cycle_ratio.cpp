@@ -1,137 +1,82 @@
 #include "graph/cycle_ratio.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "base/assert.hpp"
 #include "base/checked.hpp"
+#include "obs/counters.hpp"
 
 namespace strt {
-namespace detail {
-
-CycleSign best_cycle_sign(const DrtTask& task, std::int64_t a,
-                          std::int64_t b) {
-  STRT_REQUIRE(b > 0, "ratio denominator must be positive");
-  const std::size_t nv = task.vertex_count();
-  const auto edges = task.edges();
-
-  std::vector<std::int64_t> w(edges.size());
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    w[i] = checked::sub(
-        checked::mul(b, task.vertex(edges[i].from).wcet.count()),
-        checked::mul(a, edges[i].separation.count()));
-  }
-
-  // Longest-path Bellman-Ford from a virtual source connected to every
-  // vertex with weight 0 (equivalently: all distances start at 0, which
-  // also makes every cycle reachable).
-  std::vector<std::int64_t> d(nv, 0);
-  bool changed = false;
-  for (std::size_t pass = 0; pass <= nv; ++pass) {
-    changed = false;
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      const auto u = static_cast<std::size_t>(edges[i].from);
-      const auto v = static_cast<std::size_t>(edges[i].to);
-      const std::int64_t cand = checked::add(d[u], w[i]);
-      if (cand > d[v]) {
-        d[v] = cand;
-        changed = true;
-      }
-    }
-    if (!changed) break;
-  }
-  if (changed) return CycleSign::kPositive;  // still improving after V passes
-
-  // Zero cycle iff the tight subgraph (edges with d[u] + w == d[v]) has a
-  // cycle; any cycle's weight is -sum(slack), so zero exactly when all its
-  // edges are tight.
-  enum class Color : std::uint8_t { kWhite, kGray, kBlack };
-  std::vector<Color> color(nv, Color::kWhite);
-  std::vector<std::pair<VertexId, std::size_t>> stack;
-  for (VertexId s = 0; static_cast<std::size_t>(s) < nv; ++s) {
-    if (color[static_cast<std::size_t>(s)] != Color::kWhite) continue;
-    stack.emplace_back(s, 0);
-    color[static_cast<std::size_t>(s)] = Color::kGray;
-    while (!stack.empty()) {
-      auto& [v, next] = stack.back();
-      const auto out = task.out_edges(v);
-      bool descended = false;
-      while (next < out.size()) {
-        const auto ei = static_cast<std::size_t>(out[next]);
-        ++next;
-        const DrtEdge& e = task.edges()[ei];
-        if (d[static_cast<std::size_t>(e.from)] + w[ei] !=
-            d[static_cast<std::size_t>(e.to)]) {
-          continue;  // slack edge, not in the tight subgraph
-        }
-        auto& cu = color[static_cast<std::size_t>(e.to)];
-        if (cu == Color::kGray) return CycleSign::kZero;
-        if (cu == Color::kWhite) {
-          cu = Color::kGray;
-          stack.emplace_back(e.to, 0);
-          descended = true;
-          break;
-        }
-      }
-      if (descended) continue;
-      color[static_cast<std::size_t>(v)] = Color::kBlack;
-      stack.pop_back();
-    }
-  }
-  return CycleSign::kNegative;
-}
-
-Rational simplest_between(const Rational& lo, const Rational& hi) {
-  STRT_REQUIRE(lo < hi, "simplest_between requires lo < hi");
-  // Continued-fraction descent: if an integer lies strictly inside, it is
-  // the simplest; otherwise both bounds share the integer part and we
-  // recurse on the reciprocal of the fractional parts (order swaps).
-  const std::int64_t fl = lo.floor();
-  const Rational next_int(checked::add(fl, 1));
-  if (next_int < hi) return next_int;
-  const Rational frac_lo = lo - Rational(fl);
-  const Rational frac_hi = hi - Rational(fl);
-  if (frac_lo.is_zero()) {
-    // Interval (fl, hi): the simplest is fl + 1/k with minimal k such
-    // that fl + 1/k < hi, i.e. k = floor(1 / (hi - fl)) + 1.
-    const Rational inv = Rational(1) / frac_hi;
-    std::int64_t k = checked::add(inv.floor(), 1);
-    if (Rational(1) / Rational(k) >= frac_hi) k = checked::add(k, 1);
-    return Rational(fl) + Rational(1, k);
-  }
-  const Rational inner =
-      simplest_between(Rational(1) / frac_hi, Rational(1) / frac_lo);
-  return Rational(fl) + Rational(1) / inner;
-}
-
-}  // namespace detail
 
 std::optional<Rational> utilization(const DrtTask& task) {
   if (!task.is_cyclic()) return std::nullopt;
-  using detail::CycleSign;
+  static obs::Counter& c_probes = obs::counter("utilization.probes");
 
-  // Invariant: best_cycle_sign(lo) == positive (U > lo) and
-  //            best_cycle_sign(hi) == negative (U < hi).
-  Rational lo(0);  // wcets are >= 1 and a cycle exists, so U > 0
-  STRT_ASSERT(detail::best_cycle_sign(task, 0, 1) == CycleSign::kPositive,
-              "a cyclic task must have positive utilization");
-  Rational hi(task.max_wcet().count() + 1);  // U <= max wcet / min sep <= max
-  STRT_ASSERT(
-      detail::best_cycle_sign(task, hi.num(), hi.den()) ==
-          CycleSign::kNegative,
-      "utilization upper bound violated");
+  const std::size_t nv = task.vertex_count();
+  const auto edges = task.edges();
+  constexpr std::int32_t kNone = -1;
+  std::vector<std::int64_t> w(edges.size());
+  std::vector<std::int64_t> d(nv);
+  std::vector<std::int32_t> parent(nv);  // edge index that last relaxed v
+  const auto parent_of = [&](VertexId v) {
+    const std::int32_t ei = parent[static_cast<std::size_t>(v)];
+    STRT_ASSERT(ei != kNone, "parent chain left the cycle");
+    return static_cast<std::size_t>(ei);
+  };
 
+  // Dinkelbach iteration from q = 0, below every cycle ratio (wcets >= 1).
+  Rational q(0);
   for (;;) {
-    const Rational mid = detail::simplest_between(lo, hi);
-    switch (detail::best_cycle_sign(task, mid.num(), mid.den())) {
-      case CycleSign::kPositive:
-        lo = mid;
-        break;
-      case CycleSign::kNegative:
-        hi = mid;
-        break;
-      case CycleSign::kZero:
-        return mid;
+    c_probes.add(1);
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      w[i] = checked::sub(
+          checked::mul(q.den(), task.vertex(edges[i].from).wcet.count()),
+          checked::mul(q.num(), edges[i].separation.count()));
     }
+
+    // Longest-path Bellman-Ford from a virtual source joined to every
+    // vertex by a 0-weight edge: all distances start at 0, which also
+    // makes every cycle reachable.
+    std::fill(d.begin(), d.end(), 0);
+    std::fill(parent.begin(), parent.end(), kNone);
+    VertexId last = kNone;  // a vertex relaxed in the latest pass
+    for (std::size_t pass = 0; pass < nv; ++pass) {
+      last = kNone;
+      for (std::size_t i = 0; i < edges.size(); ++i) {
+        const auto u = static_cast<std::size_t>(edges[i].from);
+        const auto v = static_cast<std::size_t>(edges[i].to);
+        const std::int64_t cand = checked::add(d[u], w[i]);
+        if (cand > d[v]) {
+          d[v] = cand;
+          parent[v] = static_cast<std::int32_t>(i);
+          last = edges[i].to;
+        }
+      }
+      if (last == kNone) return q;  // converged: no cycle beats q
+    }
+
+    // After V - 1 passes every distance covers all simple paths, so the
+    // parent chain of a vertex relaxed in pass V closes a cycle within V
+    // steps; every cycle of parent edges has positive weight, i.e. a
+    // ratio above q.  Move q to that cycle's exact ratio.
+    VertexId on_cycle = last;
+    for (std::size_t k = 0; k < nv; ++k) {
+      on_cycle = edges[parent_of(on_cycle)].from;
+    }
+    std::int64_t work = 0;
+    std::int64_t sep = 0;
+    std::int64_t weight = 0;
+    VertexId v = on_cycle;
+    do {
+      const std::size_t ei = parent_of(v);
+      v = edges[ei].from;
+      work = checked::add(work, task.vertex(v).wcet.count());
+      sep = checked::add(sep, edges[ei].separation.count());
+      weight = checked::add(weight, w[ei]);
+    } while (v != on_cycle);
+    STRT_ASSERT(weight > 0, "a parent-edge cycle must beat the probed ratio");
+    q = Rational(work, sep);
   }
 }
 

@@ -18,29 +18,18 @@ namespace strt {
 /// Exact maximum cycle ratio; nullopt for acyclic graphs (the task can
 /// only release finitely many jobs, long-run rate zero).
 ///
-/// Algorithm: parametric search.  For a candidate ratio q = a/b, the test
-/// graph with edge weights b*wcet(u) - a*separation(u,v) has a positive
-/// cycle iff U > q and a zero-weight (but no positive) cycle iff U == q.
-/// Candidates are driven by Stern-Brocot "simplest rational in the
-/// interval" probes, one tree node per probe, so the probe count is the
-/// sum of the partial quotients of U's continued fraction -- not
-/// logarithmic: a one-vertex loop of wcet 1 and separation s takes about s
-/// probes.  Each probe is a Bellman-Ford longest-path sweep, O(V * E).
+/// Algorithm: Dinkelbach's parametric Newton iteration.  For a candidate
+/// ratio q = a/b, the test graph with edge weights
+/// b*wcet(u) - a*separation(u,v) has a positive cycle iff U > q.  Each
+/// probe is a Bellman-Ford longest-path sweep, O(V * E), that records one
+/// parent edge per vertex; a relaxation in pass V leaves a positive cycle
+/// among the parent edges, and q moves to that cycle's exact ratio, which
+/// is strictly larger.  The first probe that relaxes nothing returns q.
+/// Every iterate is the ratio of a real cycle, so the answer is exact;
+/// the probe count is small in practice (one for a single loop, a handful
+/// on the generated task sets) and is counted by the obs counter
+/// `utilization.probes`.  Throws OverflowError if a test-graph weight
+/// leaves int64.
 [[nodiscard]] std::optional<Rational> utilization(const DrtTask& task);
 
-namespace detail {
-
-enum class CycleSign { kNegative, kZero, kPositive };
-
-/// Sign of the best cycle of the parametric test graph at ratio a/b.
-[[nodiscard]] CycleSign best_cycle_sign(const DrtTask& task,
-                                        std::int64_t a, std::int64_t b);
-
-/// Simplest rational strictly between lo and hi (both exclusive);
-/// requires lo < hi.  "Simplest" = smallest denominator, then smallest
-/// numerator.  Exposed for testing.
-[[nodiscard]] Rational simplest_between(const Rational& lo,
-                                        const Rational& hi);
-
-}  // namespace detail
 }  // namespace strt

@@ -7,6 +7,7 @@
 
 #include "check/check.hpp"
 #include "core/busy_window.hpp"
+#include "curves/builders.hpp"
 #include "engine/fingerprint.hpp"
 #include "engine/workspace.hpp"
 #include "obs/counters.hpp"
@@ -177,47 +178,51 @@ AnalysisOutcome run_request_core(engine::Workspace& ws,
     return finish(OutcomeStatus::kDeadlineExpired);
   }
 
-  // Validate front gate: arity rule, then the memoized per-task lint,
-  // then the cross-task and task-versus-supply passes.
-  {
-    obs::TraceSpanScope vspan(ctx, "validate");
-    vspan.attr("tasks", static_cast<std::uint64_t>(req.tasks.size()));
-    if (const char* msg = arity_error(req.kind, req.tasks.size())) {
-      out.error = std::string(kind_name(req.kind)) + " " + msg;
-      return finish(OutcomeStatus::kInvalid);
-    }
-    for (const DrtTask& task : req.tasks) {
-      out.diagnostics.merge(check::CheckResult(*ws.validate(task)));
-    }
-    const check::UtilizationFn util = [&ws](const DrtTask& t) {
-      return ws.utilization(t);
-    };
-    if (req.tasks.size() > 1) {
-      out.diagnostics.merge(check::check_task_set(req.tasks, util));
-    }
-    out.diagnostics.merge(check::check_system(req.tasks, req.supply, util));
-    if (!out.diagnostics.ok()) {
-      out.error = "validation failed";
-      return finish(OutcomeStatus::kInvalid);
-    }
-  }
-
-  // Wire the deadline and the cancel token into the shared progress hook.
-  CommonOptions eff = req.common;
-  if (req.cancel || deadline_at) {
-    if (eff.progress_every == 0) eff.progress_every = kCancelCheckEvery;
-    const ExploreProgressFn user = eff.on_progress;
-    const std::optional<CancelToken> token = req.cancel;
-    eff.on_progress = [user, token, deadline_at](const ExploreProgress& p) {
-      if (token && token->cancelled()) return false;
-      if (deadline_at && Clock::now() >= *deadline_at) return false;
-      return !user || user(p);
-    };
-  }
-
-  obs::TraceSpanScope rspan(ctx, "run");
-  rspan.attr("kind", kind_name(req.kind));
+  // Everything from the lint gate on runs under one classification, so
+  // an exception the gate throws (an OverflowError out of utilization(),
+  // say) becomes an outcome like one the analyses throw.
   try {
+    // Validate front gate: arity rule, then the memoized per-task lint,
+    // then the cross-task and task-versus-supply passes.
+    {
+      obs::TraceSpanScope vspan(ctx, "validate");
+      vspan.attr("tasks", static_cast<std::uint64_t>(req.tasks.size()));
+      if (const char* msg = arity_error(req.kind, req.tasks.size())) {
+        out.error = std::string(kind_name(req.kind)) + " " + msg;
+        return finish(OutcomeStatus::kInvalid);
+      }
+      for (const DrtTask& task : req.tasks) {
+        out.diagnostics.merge(check::CheckResult(*ws.validate(task)));
+      }
+      const check::UtilizationFn util = [&ws](const DrtTask& t) {
+        return ws.utilization(t);
+      };
+      if (req.tasks.size() > 1) {
+        out.diagnostics.merge(check::check_task_set(req.tasks, util));
+      }
+      out.diagnostics.merge(
+          check::check_system(req.tasks, req.supply, util));
+      if (!out.diagnostics.ok()) {
+        out.error = "validation failed";
+        return finish(OutcomeStatus::kInvalid);
+      }
+    }
+
+    // Wire the deadline and the cancel token into the shared progress hook.
+    CommonOptions eff = req.common;
+    if (req.cancel || deadline_at) {
+      if (eff.progress_every == 0) eff.progress_every = kCancelCheckEvery;
+      const ExploreProgressFn user = eff.on_progress;
+      const std::optional<CancelToken> token = req.cancel;
+      eff.on_progress = [user, token, deadline_at](const ExploreProgress& p) {
+        if (token && token->cancelled()) return false;
+        if (deadline_at && Clock::now() >= *deadline_at) return false;
+        return !user || user(p);
+      };
+    }
+
+    obs::TraceSpanScope rspan(ctx, "run");
+    rspan.attr("kind", kind_name(req.kind));
     switch (req.kind) {
       case AnalysisKind::kStructural: {
         StructuralOptions o;
@@ -273,6 +278,13 @@ AnalysisOutcome run_request_core(engine::Workspace& ws,
     out.diagnostics.add(check::Severity::kError, "supply.near-overload",
                         req.supply.describe(), e.what());
     out.error = "busy window past the horizon guard";
+    return finish(OutcomeStatus::kInvalid);
+  } catch (const curve::CurveSizeError& e) {
+    // The busy window is finite and inside the guard, but a curve on it
+    // would pass the builders' step cap.
+    out.diagnostics.add(check::Severity::kError, "curve.too-large",
+                        req.supply.describe(), e.what());
+    out.error = "curve past the step cap";
     return finish(OutcomeStatus::kInvalid);
   } catch (const std::exception& e) {
     out.error = e.what();

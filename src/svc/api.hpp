@@ -154,7 +154,7 @@ enum class OutcomeStatus : std::uint8_t {
   /// `diagnostics`, or a task-slot arity violation in `error`), or the
   /// analysis found it outside the tractable domain: a busy window past
   /// the horizon guard is reported as the supply.near-overload
-  /// diagnostic.
+  /// diagnostic, a curve past the builders' step cap as curve.too-large.
   kInvalid,
   /// The service's admission queue was full (try_submit only).
   kRejected,
@@ -164,7 +164,7 @@ enum class OutcomeStatus : std::uint8_t {
   kDeadlineExpired,
   /// The CancelToken fired.  Same partial-result contract.
   kCancelled,
-  /// The analysis threw; `error` holds the message.
+  /// The validate gate or the analysis threw; `error` holds the message.
   kError,
 };
 

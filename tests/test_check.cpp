@@ -77,6 +77,16 @@ std::vector<Trigger> triggers() {
                      {Step{Time(1), Work(1)}}, Time(10)));
                }});
 
+  t.push_back({"curve.too-large", [] {
+                 // Utilization 1/2 on a unit-rate dedicated resource: the
+                 // busy window is 2^28 ticks, so the supply curve on it
+                 // would need 2^28 steps.
+                 constexpr std::int64_t kWcet = std::int64_t{1} << 28;
+                 svc::AnalysisRequest req;
+                 req.tasks = {self_loop_task(kWcet, kWcet, 2 * kWcet)};
+                 req.supply = Supply::dedicated(1);
+                 return svc::run_request(req).diagnostics;
+               }});
   t.push_back({"drt.acyclic",
                [] {
                  DrtBuilder b("dag");
@@ -125,6 +135,13 @@ std::vector<Trigger> triggers() {
                  b.add_edge(a, c, Time(10));  // deadline 12 > sep 10
                  b.add_edge(c, a, Time(15));
                  return check::check_task(std::move(b).build());
+               }});
+  t.push_back({"drt.overflow", [] {
+                 // U = 2^62 / (2^62 + 1): the second Dinkelbach probe's
+                 // weights leave int64.
+                 constexpr std::int64_t kWcet = std::int64_t{1} << 62;
+                 return check::check_task(
+                     self_loop_task(kWcet, kWcet, kWcet + 1));
                }});
   t.push_back({"drt.overutilized", [] {
                  return check::check_task(self_loop_task(5, 5, 5));

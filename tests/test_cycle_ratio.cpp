@@ -3,62 +3,16 @@
 #include <functional>
 #include <vector>
 
+#include "base/checked.hpp"
 #include "graph/cycle_ratio.hpp"
 #include "model/generator.hpp"
 #include "model/gmf.hpp"
 #include "model/sporadic.hpp"
+#include "obs/counters.hpp"
 #include "testutil.hpp"
 
 namespace strt {
 namespace {
-
-TEST(SimplestBetween, FindsSimplestRational) {
-  using detail::simplest_between;
-  EXPECT_EQ(simplest_between(Rational(0), Rational(2)), Rational(1));
-  EXPECT_EQ(simplest_between(Rational(0), Rational(1)), Rational(1, 2));
-  EXPECT_EQ(simplest_between(Rational(1, 3), Rational(1, 2)),
-            Rational(2, 5));
-  EXPECT_EQ(simplest_between(Rational(3, 7), Rational(4, 7)),
-            Rational(1, 2));
-  // (13/9, 31/21) ~ (1.444, 1.476): no denominator <= 10 fits; 16/11 does.
-  EXPECT_EQ(simplest_between(Rational(13, 9), Rational(31, 21)),
-            Rational(16, 11));
-  // (1/1000, 1/999) contains no fraction with numerator 1; the simplest
-  // inhabitant is 2/1999.
-  EXPECT_EQ(simplest_between(Rational(1, 1000), Rational(1, 999)),
-            Rational(2, 1999));
-  EXPECT_THROW((void)simplest_between(Rational(1), Rational(1)),
-               std::invalid_argument);
-}
-
-TEST(SimplestBetween, ExhaustiveSmallIntervals) {
-  // For every pair lo < hi with denominators <= 12, the result must lie
-  // strictly inside and no rational with a smaller denominator may.
-  std::vector<Rational> values;
-  for (int den = 1; den <= 12; ++den) {
-    for (int num = 0; num <= 2 * den; ++num) {
-      values.emplace_back(num, den);
-    }
-  }
-  for (const Rational& lo : values) {
-    for (const Rational& hi : values) {
-      if (!(lo < hi)) continue;
-      const Rational s = detail::simplest_between(lo, hi);
-      EXPECT_LT(lo, s);
-      EXPECT_LT(s, hi);
-      for (int den = 1; den < s.den(); ++den) {
-        for (std::int64_t num = lo.num() * den / lo.den();
-             num <= hi.num() * den / hi.den() + 1; ++num) {
-          const Rational cand(num, den);
-          EXPECT_FALSE(lo < cand && cand < hi)
-              << "simpler " << cand.to_string() << " inside ("
-              << lo.to_string() << ", " << hi.to_string() << "), got "
-              << s.to_string();
-        }
-      }
-    }
-  }
-}
 
 TEST(Utilization, SporadicIsWcetOverPeriod) {
   const SporadicTask sp{"s", Work(3), Time(7), Time(7)};
@@ -155,10 +109,10 @@ Rational brute_max_cycle_ratio(const DrtTask& task) {
 
 TEST(Utilization, MatchesBruteForceOnRandomGraphs) {
   Rng rng(606);
-  for (int trial = 0; trial < 30; ++trial) {
+  for (int trial = 0; trial < 60; ++trial) {
     DrtGenParams params;
     params.min_vertices = 3;
-    params.max_vertices = 6;
+    params.max_vertices = 8;
     params.min_separation = Time(1);
     params.max_separation = Time(12);
     params.chord_probability = 0.25;
@@ -167,6 +121,102 @@ TEST(Utilization, MatchesBruteForceOnRandomGraphs) {
     const auto u = utilization(task);
     ASSERT_TRUE(u.has_value());
     EXPECT_EQ(*u, brute_max_cycle_ratio(task)) << "trial " << trial;
+  }
+}
+
+TEST(Utilization, MatchesBruteForceOnSparseDigraphs) {
+  // Arbitrary edge sets: several SCCs, transient vertices and self-loops,
+  // none of which the generator's base cycle produces.
+  Rng rng(1717);
+  int cyclic = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto nv = static_cast<int>(rng.uniform_int(1, 8));
+    DrtBuilder b("g");
+    std::vector<VertexId> vs;
+    for (int i = 0; i < nv; ++i) {
+      vs.push_back(b.add_vertex("V" + std::to_string(i),
+                                Work(rng.uniform_int(1, 20)), Time(1)));
+    }
+    for (int i = 0; i < nv; ++i) {
+      for (int j = 0; j < nv; ++j) {
+        if (rng.chance(0.2)) {
+          b.add_edge(vs[static_cast<std::size_t>(i)],
+                     vs[static_cast<std::size_t>(j)],
+                     Time(rng.uniform_int(1, 30)));
+        }
+      }
+    }
+    const DrtTask task = std::move(b).build();
+    const auto u = utilization(task);
+    ASSERT_EQ(u.has_value(), task.is_cyclic()) << "trial " << trial;
+    if (!u) continue;
+    ++cyclic;
+    EXPECT_EQ(*u, brute_max_cycle_ratio(task)) << "trial " << trial;
+  }
+  EXPECT_GT(cyclic, 100);
+}
+
+/// Utilization of the task and the number of probes it took (read off the
+/// utilization.probes counter, with observability switched on meanwhile).
+std::pair<std::optional<Rational>, std::uint64_t> probed_utilization(
+    const DrtTask& task) {
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::Counter& probes = obs::counter("utilization.probes");
+  const std::uint64_t before = probes.value();
+  const auto u = utilization(task);
+  const std::uint64_t taken = probes.value() - before;
+  obs::set_enabled(was_enabled);
+  return {u, taken};
+}
+
+DrtTask self_loop(std::int64_t wcet, std::int64_t separation) {
+  DrtBuilder b("loop");
+  const VertexId v = b.add_vertex("V", Work(wcet), Time(wcet));
+  b.add_edge(v, v, Time(separation));
+  return std::move(b).build();
+}
+
+TEST(Utilization, LongLoopTakesTwoProbes) {
+  // A search probing one Stern-Brocot node at a time needs about 2^21
+  // probes here.
+  constexpr std::int64_t kSep = (std::int64_t{1} << 21) + 2;
+  const auto [u, probes] = probed_utilization(self_loop(1, kSep));
+  ASSERT_TRUE(u.has_value());
+  EXPECT_EQ(*u, Rational(1, kSep));
+  EXPECT_LE(probes, 2u);
+}
+
+TEST(Utilization, HugeWcetLoopIsExact) {
+  constexpr std::int64_t kWcet = std::int64_t{1} << 40;
+  const auto [u, probes] = probed_utilization(self_loop(kWcet, 2 * kWcet));
+  ASSERT_TRUE(u.has_value());
+  EXPECT_EQ(*u, Rational(1, 2));
+  EXPECT_LE(probes, 2u);
+}
+
+TEST(Utilization, OverflowingProbeThrows) {
+  // U = 2^62 / (2^62 + 1): the second probe's weights leave int64.
+  constexpr std::int64_t kWcet = std::int64_t{1} << 62;
+  EXPECT_THROW((void)utilization(self_loop(kWcet, kWcet + 1)),
+               OverflowError);
+}
+
+TEST(Utilization, TwoComponentsTakeTheLargerRatio) {
+  // SCC {A, B} of ratio (2+3)/(6+7) = 5/13 and SCC {C} of ratio 4/9,
+  // joined one way by A -> C.  Either may be found first.
+  for (const bool loose_first : {true, false}) {
+    DrtBuilder b("two-sccs");
+    const VertexId a = b.add_vertex("A", Work(2), Time(1));
+    const VertexId v = b.add_vertex("B", Work(3), Time(1));
+    const VertexId c = b.add_vertex("C", Work(4), Time(1));
+    if (loose_first) b.add_edge(a, v, Time(6)).add_edge(v, a, Time(7));
+    b.add_edge(c, c, Time(9));
+    if (!loose_first) b.add_edge(a, v, Time(6)).add_edge(v, a, Time(7));
+    b.add_edge(a, c, Time(1));
+    const auto u = utilization(std::move(b).build());
+    ASSERT_TRUE(u.has_value());
+    EXPECT_EQ(*u, Rational(4, 9));
   }
 }
 

@@ -212,6 +212,61 @@ TEST(SvcApi, HorizonGuardIsAClassifiedNearOverload) {
   }
 }
 
+/// A one-vertex loop of wcet = deadline = `wcet` and separation 2 * wcet
+/// on a unit-rate dedicated resource: utilization 1/2, busy window wcet.
+AnalysisRequest huge_loop_request(std::int64_t wcet) {
+  DrtBuilder b("huge");
+  const VertexId v = b.add_vertex("V", Work(wcet), Time(wcet));
+  b.add_edge(v, v, Time(2 * wcet));
+  AnalysisRequest req;
+  req.tasks = {std::move(b).build()};
+  req.supply = Supply::dedicated(1);
+  return req;
+}
+
+TEST(SvcApi, CurvesPastTheStepCapAreClassifiedTooLarge) {
+  for (const int log2_wcet : {28, 30, 40}) {
+    const auto started = std::chrono::steady_clock::now();
+    const AnalysisOutcome out =
+        run_request(huge_loop_request(std::int64_t{1} << log2_wcet));
+    const auto took = std::chrono::steady_clock::now() - started;
+    EXPECT_EQ(out.status, OutcomeStatus::kInvalid) << log2_wcet;
+    EXPECT_EQ(out.diagnostics.count("curve.too-large"), 1u) << log2_wcet;
+    EXPECT_FALSE(out.error.empty());
+    EXPECT_LT(took, std::chrono::seconds(1)) << log2_wcet;
+  }
+}
+
+TEST(SvcService, ALintGateExceptionIsAnErrorOutcome) {
+  // U = 2^62 / (2^62 + 1): utilization's second probe overflows.  The
+  // task lint reports it, the supply gate's own utilization call throws,
+  // and the request ends as an error; the service keeps serving.
+  std::istringstream in(
+      R"({"id": 1, "kind": "structural", "supply": "dedicated rate 1",)"
+      R"( "task": "task big\nvertex V wcet 4611686018427387904 deadline )"
+      R"(4611686018427387904\nedge V V sep 4611686018427387905"})"
+      "\n"
+      R"({"id": 2, "kind": "structural", "supply": "tdma slot 3 cycle 8",)"
+      R"( "task": "task cruise\nvertex A wcet 2 deadline 10\nvertex B )"
+      R"(wcet 3 deadline 12\nedge A B sep 10\nedge B A sep 15"})"
+      "\n");
+  std::vector<AnalysisRequest> reqs;
+  for (RequestParse& p : read_request_stream(in, StreamFormat::kJsonl)) {
+    ASSERT_TRUE(p.request.has_value()) << p.diagnostics.to_json();
+    reqs.push_back(std::move(*p.request));
+  }
+  ASSERT_EQ(reqs.size(), 2u);
+  Service service{{}};
+  const std::vector<AnalysisOutcome> served = service.run_all(reqs);
+  ASSERT_EQ(served.size(), 2u);
+  EXPECT_EQ(served[0].status, OutcomeStatus::kError);
+  EXPECT_NE(served[0].error.find("overflow"), std::string::npos)
+      << served[0].error;
+  EXPECT_TRUE(served[0].diagnostics.has("drt.overflow"));
+  EXPECT_EQ(served[1].status, OutcomeStatus::kOk);
+  EXPECT_NE(served[1].structural(), nullptr);
+}
+
 TEST(SvcService, OutcomesBitIdenticalToOneShotAcrossKinds) {
   ServiceOptions sopts;
   sopts.max_batch = 16;
