@@ -15,13 +15,15 @@
 // is a multiple of the baseline's (>= 2x is the regression bar, enforced
 // through the exit code; the ratio grows with requests-per-system).  The
 // `warm no-batch` ablation row isolates how much of the win is cache
-// warmth alone.
+// warmth alone.  Each of the three configurations runs kRepetitions
+// times, interleaved (cold, warm, no-batch, cold, ...) so drift on the
+// host hits all three alike, and reports its median wall time; the bar
+// compares the medians.
 //
 // Per-request latency is reported as service time (OutcomeStats::run_us,
 // validate + analysis) kept apart from queue wait (queue_us): the warm
 // path enqueues the whole corpus before dispatch, so its queue wait
-// measures the corpus length, not the service.  Setting STRT_BENCH_SMOKE
-// shrinks the corpus for CI smoke runs.
+// measures the corpus length, not the service.
 
 #include <algorithm>
 #include <cstdlib>
@@ -34,7 +36,6 @@
 #include <utility>
 #include <vector>
 
-#include "base/config.hpp"
 #include "bench_util.hpp"
 #include "engine/workspace.hpp"
 #include "io/table.hpp"
@@ -50,6 +51,7 @@ namespace {
 
 constexpr int kSystems = 8;
 constexpr int kRoundsPerSystem = 16;
+constexpr int kRepetitions = 5;
 
 std::vector<DrtTask> random_system(std::uint64_t seed) {
   Rng rng = Rng::split(seed, 0);
@@ -170,6 +172,11 @@ bool same_outcome(const svc::AnalysisOutcome& a,
   return true;  // monostate == monostate
 }
 
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
 /// Serves `reqs` through a Service configured by `sopts`, enqueueing the
 /// whole stream before dispatch so batching windows cover it.
 std::vector<svc::AnalysisOutcome> serve(const svc::ServiceOptions& sopts,
@@ -196,60 +203,42 @@ int main() {
   // ratios).
   obs::set_enabled(true);
 
-  // STRT_BENCH_SMOKE: a reduced corpus for CI smoke legs -- same phases,
-  // same gates, a fraction of the wall time.
-  const bool smoke = cfg::get_bool("STRT_BENCH_SMOKE", /*def=*/false);
-  const int systems = smoke ? 4 : kSystems;
-  const int rounds_per_system = smoke ? 2 : kRoundsPerSystem;
-
   const Supply supply = Supply::tdma(Time(35), Time(50));
 
-  // Seeds are drawn in order from 9000 until each system is lint-clean;
-  // the smoke corpus is therefore a prefix of the full one.
+  // Seeds are drawn in order from 9000 until each system is lint-clean.
   std::vector<svc::AnalysisRequest> reqs;
   std::uint64_t next_id = 0;
   std::uint64_t seed = 9000;
   int redraws = 0;
-  for (int s = 0; s < systems; ++s) {
+  for (int s = 0; s < kSystems; ++s) {
     std::vector<DrtTask> tasks = random_system(seed++);
     while (!lint_clean(tasks, supply)) {
       ++redraws;
       tasks = random_system(seed++);
     }
-    for (int r = 0; r < rounds_per_system; ++r) {
+    for (int r = 0; r < kRoundsPerSystem; ++r) {
       push_round(reqs, tasks, supply, /*deep_dive=*/r == 0, next_id);
     }
   }
 
   std::cout << "E12: batch service vs cold per-request baseline\n"
-            << reqs.size() << " requests over " << systems
-            << " task systems (" << rounds_per_system
+            << reqs.size() << " requests over " << kSystems
+            << " task systems (" << kRoundsPerSystem
             << " rounds of every kind per system) on " << supply.describe()
-            << (smoke ? " [smoke]" : "") << "; " << redraws
-            << " seed redraw(s) to pass strt::check\n\n";
+            << "; " << redraws << " seed redraw(s) to pass strt::check; "
+            << kRepetitions << " interleaved repetitions\n\n";
 
   BenchReport report("service");
   report.metric("requests", reqs.size());
-  report.metric("task_systems", systems);
-  report.metric("rounds_per_system", rounds_per_system);
-  report.metric("smoke", smoke);
+  report.metric("task_systems", kSystems);
+  report.metric("rounds_per_system", kRoundsPerSystem);
+  report.metric("repetitions", kRepetitions);
   report.metric("seed_redraws", redraws);
 
   // Cold per-request baseline: a fresh private workspace per request,
-  // strictly serial (the one-shot CLI usage pattern).
-  std::vector<svc::AnalysisOutcome> baseline;
-  baseline.reserve(reqs.size());
-  double cold_ms = 0;
-  {
-    Phase phase("cold_baseline");
-    for (const svc::AnalysisRequest& req : reqs) {
-      baseline.push_back(svc::run_request(req));
-    }
-    cold_ms = phase.millis();
-  }
-
-  // Warm batch service (the production configuration) and the no-batch
-  // ablation (shared warm workspace only).
+  // strictly serial (the one-shot CLI usage pattern).  Then the warm
+  // batch service (the production configuration) and the no-batch
+  // ablation (shared warm workspace only), each on a fresh Service.
   svc::ServiceOptions warm_opts;
   warm_opts.start_paused = true;
   warm_opts.queue_capacity = reqs.size() + 1;
@@ -257,52 +246,71 @@ int main() {
   svc::ServiceOptions ablation_opts = warm_opts;
   ablation_opts.batch_by_fingerprint = false;
 
-  svc::ServiceStats warm_stats;
+  std::vector<svc::AnalysisOutcome> baseline;
   std::vector<svc::AnalysisOutcome> served;
-  double warm_ms = 0;
-  {
-    Phase phase("warm_service");
-    served = serve(warm_opts, reqs, warm_stats);
-    warm_ms = phase.millis();
-  }
-
-  svc::ServiceStats ablation_stats;
   std::vector<svc::AnalysisOutcome> ablated;
-  double ablation_ms = 0;
-  {
-    Phase phase("warm_nobatch");
-    ablated = serve(ablation_opts, reqs, ablation_stats);
-    ablation_ms = phase.millis();
-  }
+  svc::ServiceStats warm_stats;
+  svc::ServiceStats ablation_stats;
+  std::vector<double> cold_runs;
+  std::vector<double> warm_runs;
+  std::vector<double> ablation_runs;
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    {
+      baseline.clear();
+      baseline.reserve(reqs.size());
+      Phase phase("cold_baseline");
+      for (const svc::AnalysisRequest& req : reqs) {
+        baseline.push_back(svc::run_request(req));
+      }
+      cold_runs.push_back(phase.millis());
+    }
+    {
+      Phase phase("warm_service");
+      served = serve(warm_opts, reqs, warm_stats);
+      warm_runs.push_back(phase.millis());
+    }
+    {
+      Phase phase("warm_nobatch");
+      ablated = serve(ablation_opts, reqs, ablation_stats);
+      ablation_runs.push_back(phase.millis());
+    }
 
-  // Bit-identity gate: timings mean nothing if the answers moved.
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    if (!same_outcome(baseline[i], served[i]) ||
-        !same_outcome(baseline[i], ablated[i])) {
-      std::cerr << "bench: outcome mismatch vs the cold baseline at "
-                   "request id "
-                << baseline[i].id << " -- service results must be "
-                << "bit-identical; not reporting timings\n";
-      return 1;
+    // Bit-identity gate: timings mean nothing if the answers moved.
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      if (!same_outcome(baseline[i], served[i]) ||
+          !same_outcome(baseline[i], ablated[i])) {
+        std::cerr << "bench: outcome mismatch vs the cold baseline at "
+                     "request id "
+                  << baseline[i].id << " -- service results must be "
+                  << "bit-identical; not reporting timings\n";
+        return 1;
+      }
     }
   }
+  const double cold_ms = median(cold_runs);
+  const double warm_ms = median(warm_runs);
+  const double ablation_ms = median(ablation_runs);
   std::cout << "bit-identity: all " << reqs.size()
-            << " outcomes match the cold baseline\n\n";
+            << " outcomes match the cold baseline in every repetition\n\n";
 
   const double n = static_cast<double>(reqs.size());
   const auto throughput = [n](double ms) { return n / (ms / 1e3); };
   const double speedup = cold_ms / warm_ms;
 
-  Table table({"configuration", "wall ms", "req/s", "vs cold",
-               "batches", "batched reqs"});
-  table.add_row({"cold per-request", fmt_ratio(cold_ms),
+  const auto spread = [](const std::vector<double>& runs) {
+    const auto [lo, hi] = std::minmax_element(runs.begin(), runs.end());
+    return fmt_ratio(*lo) + "-" + fmt_ratio(*hi);
+  };
+  Table table({"configuration", "median ms", "min-max ms", "req/s",
+               "vs cold", "batches", "batched reqs"});
+  table.add_row({"cold per-request", fmt_ratio(cold_ms), spread(cold_runs),
                  fmt_ratio(throughput(cold_ms), 0), "1.00x", "-", "-"});
   table.add_row({"warm no-batch", fmt_ratio(ablation_ms),
-                 fmt_ratio(throughput(ablation_ms), 0),
+                 spread(ablation_runs), fmt_ratio(throughput(ablation_ms), 0),
                  fmt_ratio(cold_ms / ablation_ms) + "x",
                  std::to_string(ablation_stats.batches),
                  std::to_string(ablation_stats.batched_requests)});
-  table.add_row({"warm batch service", fmt_ratio(warm_ms),
+  table.add_row({"warm batch service", fmt_ratio(warm_ms), spread(warm_runs),
                  fmt_ratio(throughput(warm_ms), 0),
                  fmt_ratio(speedup) + "x",
                  std::to_string(warm_stats.batches),
@@ -310,7 +318,7 @@ int main() {
   table.print(std::cout);
 
   std::cout << "\nwarm batch service vs cold baseline: " << fmt_ratio(speedup)
-            << "x (regression bar: >= 2x)\n";
+            << "x of the medians (regression bar: >= 2x)\n";
 
   report.metric("cold_ms", cold_ms);
   report.metric("warm_ms", warm_ms);
@@ -323,8 +331,8 @@ int main() {
   report.metric("batches", warm_stats.batches);
   report.metric("batched_requests", warm_stats.batched_requests);
 
-  // Exact p50/p99 over the outcomes: service time (run_us) and, on the
-  // warm path, queue wait (queue_us), reported apart.
+  // Exact p50/p99 over the last repetition's outcomes: service time
+  // (run_us) and, on the warm path, queue wait (queue_us), reported apart.
   const auto tails = [&](const std::string& key,
                          std::vector<std::int64_t> us) {
     std::sort(us.begin(), us.end());
@@ -457,7 +465,7 @@ int main() {
   report.metric("snapshot_identical", true);
   if (speedup < 2.0) {
     std::cerr << "bench: warm batch service at " << fmt_ratio(speedup)
-              << "x of the cold baseline, below the 2x bar\n";
+              << "x of the cold baseline (medians), below the 2x bar\n";
     return 1;
   }
   return 0;

@@ -2,7 +2,6 @@
 
 #include "base/assert.hpp"
 #include "core/busy_window.hpp"
-#include "curves/minplus.hpp"
 #include "engine/workspace.hpp"
 #include "graph/workload.hpp"
 
@@ -22,20 +21,12 @@ AudsleyResult audsley_assignment(engine::Workspace& ws,
   if (total >= supply.long_run_rate()) return res;  // infeasible
 
   // Materialize everything out to the system busy window once.
-  Time horizon = max(supply.min_horizon(), Time(64));
+  const Time horizon =
+      max(rbf_catch_up(ws, tasks, supply, "audsley_assignment"),
+          base_horizon(supply));
   std::vector<engine::CurvePtr> rbfs;
-  engine::CurvePtr sv;
-  for (;;) {
-    rbfs.clear();
-    engine::CurvePtr sum = ws.intern(Staircase(horizon));
-    for (const DrtTask& t : tasks) {
-      rbfs.push_back(ws.rbf(t, horizon));
-      sum = ws.pointwise_add(*sum, *rbfs.back());
-    }
-    sv = ws.sbf(supply, horizon);
-    if (first_catch_up(*sum, *sv)) break;
-    horizon = next_horizon(horizon, "audsley_assignment");
-  }
+  for (const DrtTask& t : tasks) rbfs.push_back(ws.rbf(t, horizon));
+  const engine::CurvePtr sv = ws.sbf(supply, horizon);
 
   std::vector<std::size_t> unassigned(tasks.size());
   for (std::size_t i = 0; i < tasks.size(); ++i) unassigned[i] = i;

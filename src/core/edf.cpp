@@ -5,7 +5,6 @@
 
 #include "base/assert.hpp"
 #include "core/busy_window.hpp"
-#include "curves/minplus.hpp"
 #include "engine/workspace.hpp"
 #include "graph/workload.hpp"
 #include "obs/counters.hpp"
@@ -23,7 +22,6 @@ EdfResult edf_schedulable(engine::Workspace& ws,
   }
   const obs::Span span("edf.check");
   static obs::Counter& c_runs = obs::counter("edf.runs");
-  static obs::Counter& c_doublings = obs::counter("edf.horizon_doublings");
   c_runs.add(1);
   EdfResult res;
 
@@ -38,46 +36,36 @@ EdfResult edf_schedulable(engine::Workspace& ws,
 
   // The demand criterion only needs checking up to the system busy window
   // (dbf <= rbf pointwise, so demand has caught up once requests have).
-  Time horizon = max(supply.min_horizon(), Time(64));
-  for (;;) {
-    engine::CurvePtr sum_rbf = ws.intern(Staircase(horizon));
-    engine::CurvePtr sum_dbf = ws.intern(Staircase(horizon));
-    for (const DrtTask& t : tasks) {
-      sum_rbf = ws.pointwise_add(*sum_rbf, *ws.rbf(t, horizon));
-      sum_dbf = ws.pointwise_add(*sum_dbf, *ws.dbf(t, horizon));
-    }
-    const engine::CurvePtr sv = ws.sbf(supply, horizon);
-    const std::optional<Time> L = first_catch_up(*sum_rbf, *sv);
-    if (!L) {
-      horizon = next_horizon(horizon, "edf_schedulable");
-      c_doublings.add(1);
-      continue;
-    }
-    res.horizon_checked = *L;
-
-    // Sweep the merged breakpoints of demand and supply up to L.
-    std::vector<Time> ts;
-    for (const Step& s : sum_dbf->steps())
-      if (s.time <= *L) ts.push_back(s.time);
-    for (const Step& s : sv->steps())
-      if (s.time <= *L) ts.push_back(s.time);
-    ts.push_back(*L);
-    std::sort(ts.begin(), ts.end());
-    ts.erase(std::unique(ts.begin(), ts.end()), ts.end());
-
-    std::int64_t margin = std::numeric_limits<std::int64_t>::max();
-    std::optional<Time> violation;
-    for (Time t : ts) {
-      const std::int64_t m =
-          sv->value(t).count() - sum_dbf->value(t).count();
-      margin = std::min(margin, m);
-      if (m < 0 && !violation) violation = t;
-    }
-    res.margin = margin;
-    res.schedulable = !violation.has_value();
-    res.first_violation = violation;
-    return res;
+  const Time L = rbf_catch_up(ws, tasks, supply, "edf_schedulable");
+  res.horizon_checked = L;
+  const Time horizon = max(L, base_horizon(supply));
+  engine::CurvePtr sum_dbf = ws.intern(Staircase(horizon));
+  for (const DrtTask& t : tasks) {
+    sum_dbf = ws.pointwise_add(*sum_dbf, *ws.dbf(t, horizon));
   }
+  const engine::CurvePtr sv = ws.sbf(supply, horizon);
+
+  // Sweep the merged breakpoints of demand and supply up to L.
+  std::vector<Time> ts;
+  for (const Step& s : sum_dbf->steps())
+    if (s.time <= L) ts.push_back(s.time);
+  for (const Step& s : sv->steps())
+    if (s.time <= L) ts.push_back(s.time);
+  ts.push_back(L);
+  std::sort(ts.begin(), ts.end());
+  ts.erase(std::unique(ts.begin(), ts.end()), ts.end());
+
+  std::int64_t margin = std::numeric_limits<std::int64_t>::max();
+  std::optional<Time> violation;
+  for (Time t : ts) {
+    const std::int64_t m = sv->value(t).count() - sum_dbf->value(t).count();
+    margin = std::min(margin, m);
+    if (m < 0 && !violation) violation = t;
+  }
+  res.margin = margin;
+  res.schedulable = !violation.has_value();
+  res.first_violation = violation;
+  return res;
 }
 
 }  // namespace strt

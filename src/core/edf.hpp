@@ -30,8 +30,10 @@ namespace engine {
 class Workspace;
 }  // namespace engine
 
-/// Memoizes the per-task rbf/dbf staircases across horizon doublings and
-/// repeated calls in `ws`.
+/// Finds the system busy window by the streamed search of
+/// core/busy_window.hpp (rbf_catch_up) and checks the summed dbf against
+/// the supply up to it, materializing each curve once; rbf/dbf and the
+/// task explorations are memoized across repeated calls in `ws`.
 [[nodiscard]] EdfResult edf_schedulable(engine::Workspace& ws,
                                         std::span<const DrtTask> tasks,
                                         const Supply& supply);

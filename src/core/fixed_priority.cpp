@@ -35,30 +35,43 @@ FpResult fixed_priority_analysis(engine::Workspace& ws,
   // the abstracted interference contributions, and the supply out to the
   // system-level busy window of the abstracted aggregate (which majorizes
   // the exact one, so every per-task busy window closes inside it).
-  Time horizon = max(supply.min_horizon(), Time(64));
+  // Exact interference finds that window by the streamed search and
+  // materializes once; a fitted abstraction depends on the horizon it is
+  // fitted on, so it keeps the doubling search.
+  const bool exact = interference == WorkloadAbstraction::kExactCurve;
   std::vector<engine::CurvePtr> rbfs;
   std::vector<engine::CurvePtr> contribs;
   engine::CurvePtr sv;
-  for (;;) {
+  const auto materialize = [&](Time horizon) {
     rbfs.clear();
     contribs.clear();
-    rbfs.reserve(tasks.size());
-    contribs.reserve(tasks.size());
-    engine::CurvePtr sum = ws.intern(Staircase(horizon));
     for (const DrtTask& t : tasks) {
       rbfs.push_back(ws.rbf(t, horizon));
       contribs.push_back(
-          interference == WorkloadAbstraction::kExactCurve
-              ? rbfs.back()
-              : ws.intern(abstracted_arrival(ws, t, interference, horizon)));
-      sum = ws.pointwise_add(*sum, *contribs.back());
+          exact ? rbfs.back()
+                : ws.intern(abstracted_arrival(ws, t, interference, horizon)));
     }
     sv = ws.sbf(supply, horizon);
-    if (const std::optional<Time> L = first_catch_up(*sum, *sv)) {
-      res.system_busy_window = *L;
-      break;
+  };
+  Time horizon = base_horizon(supply);
+  if (exact) {
+    res.system_busy_window =
+        rbf_catch_up(ws, tasks, supply, "fixed_priority_analysis");
+    horizon = max(horizon, res.system_busy_window);
+    materialize(horizon);
+  } else {
+    for (;;) {
+      materialize(horizon);
+      engine::CurvePtr sum = ws.intern(Staircase(horizon));
+      for (const engine::CurvePtr& c : contribs) {
+        sum = ws.pointwise_add(*sum, *c);
+      }
+      if (const std::optional<Time> L = first_catch_up(*sum, *sv)) {
+        res.system_busy_window = *L;
+        break;
+      }
+      horizon = next_horizon(horizon, "fixed_priority_analysis");
     }
-    horizon = next_horizon(horizon, "fixed_priority_analysis");
   }
 
   // Level i sees the leftover of the sum of every higher level's

@@ -121,23 +121,17 @@ JointFpResult joint_multi_task_fp(engine::Workspace& ws,
   }
 
   // Materialize out to the system busy window.
-  Time horizon = max(supply.min_horizon(), Time(64));
-  engine::CurvePtr rbf_hp;
-  engine::CurvePtr sv;
-  for (;;) {
-    rbf_hp = ws.intern(Staircase(horizon));
-    for (const DrtTask& hp : hps) {
-      rbf_hp = ws.pointwise_add(*rbf_hp, *ws.rbf(hp, horizon));
-    }
-    const engine::CurvePtr sum =
-        ws.pointwise_add(*rbf_hp, *ws.rbf(lp, horizon));
-    sv = ws.sbf(supply, horizon);
-    if (const std::optional<Time> L = first_catch_up(*sum, *sv)) {
-      res.busy_window = *L;
-      break;
-    }
-    horizon = next_horizon(horizon, "joint FP analysis", kJointHorizonGuard);
+  std::vector<const DrtTask*> all;
+  for (const DrtTask& hp : hps) all.push_back(&hp);
+  all.push_back(&lp);
+  res.busy_window =
+      rbf_catch_up(ws, all, supply, "joint FP analysis", kJointHorizonGuard);
+  const Time horizon = max(res.busy_window, base_horizon(supply));
+  engine::CurvePtr rbf_hp = ws.intern(Staircase(horizon));
+  for (const DrtTask& hp : hps) {
+    rbf_hp = ws.pointwise_add(*rbf_hp, *ws.rbf(hp, horizon));
   }
+  const engine::CurvePtr sv = ws.sbf(supply, horizon);
 
   StructuralOptions sopts;
   sopts.common() = opts.common();

@@ -87,18 +87,18 @@ StructuralResult analyze(engine::Workspace& ws, const DrtTask& task,
 StructuralResult structural_delay(engine::Workspace& ws,
                                   const DrtTask& task, const Supply& supply,
                                   const StructuralOptions& opts) {
-  const std::optional<BusyWindow> bw = [&] {
-    const obs::Span span("busy_window");
-    return busy_window(ws, task, supply);
-  }();
-  if (!bw) {
+  const std::optional<Time> window = busy_window_length(ws, task, supply);
+  if (!window) {
     StructuralResult overload;
     overload.delay = Time::unbounded();
     overload.backlog = Work::unbounded();
     overload.busy_window = Time::unbounded();
     return overload;
   }
-  return analyze(ws, task, bw->sbf, bw->length, opts);
+  // The fold reads the supply only through inverse and value, which the
+  // base-horizon curve answers exactly through its tail.
+  const engine::CurvePtr service = ws.sbf(supply, base_horizon(supply));
+  return analyze(ws, task, *service, *window, opts);
 }
 
 StructuralResult structural_delay_vs(engine::Workspace& ws,

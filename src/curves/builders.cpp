@@ -16,8 +16,29 @@ CurveSizeError::CurveSizeError(std::string_view curve)
 
 namespace {
 
-/// The one append of every builder loop: throws CurveSizeError instead of
-/// growing `pts` past kMaxCurveSteps.
+/// A canonical store holding only the origin step (0, 0).
+SegmentStore origin() {
+  SegmentStore out;
+  out.append(Time(0), Work(0));
+  return out;
+}
+
+/// The one append of every builder loop: throws CurveSizeError instead
+/// of growing past kMaxCurveSteps steps after the origin.  Steps arriving
+/// in time order go straight into canonical form -- their running max,
+/// a repeated time raising the last step -- so the builder needs no sort.
+void append(SegmentStore& out, Step step, std::string_view curve) {
+  if (step.value <= out.back_value()) return;
+  if (step.time == out.back_time()) {
+    out.set_back_value(step.value);
+    return;
+  }
+  if (out.size() > kMaxCurveSteps) throw CurveSizeError(curve);
+  out.append(step.time, step.value);
+}
+
+/// The same cap on raw points that are not in time order (for
+/// Staircase::from_points).
 void append(std::vector<Step>& pts, Step step, std::string_view curve) {
   if (pts.size() >= kMaxCurveSteps) throw CurveSizeError(curve);
   pts.push_back(step);
@@ -34,7 +55,7 @@ Staircase periodic_arrival(Work wcet, Time period, Time jitter,
                "horizon must cover at least one period plus jitter");
   // a(t) = wcet * ceil((t + jitter) / period) jumps to (k+1)*wcet at
   // t = k*period - jitter + 1.
-  std::vector<Step> pts;
+  SegmentStore pts = origin();
   const std::int64_t p = period.count();
   const std::int64_t j = jitter.count();
   const std::int64_t c = wcet.count();
@@ -45,8 +66,8 @@ Staircase periodic_arrival(Work wcet, Time period, Time jitter,
         checked::mul(c, checked::ceil_div(t + j, p));
     append(pts, Step{Time(t), Work(v)}, "periodic_arrival");
   }
-  return Staircase::from_points(std::move(pts), horizon)
-      .with_tail(Tail{period, wcet});
+  return Staircase::from_segments(std::move(pts), horizon,
+                                 Tail{period, wcet});
 }
 
 Staircase token_bucket(Work burst, const Rational& rate, Time horizon) {
@@ -56,7 +77,7 @@ Staircase token_bucket(Work burst, const Rational& rate, Time horizon) {
                "horizon must cover one rate denominator period");
   // a(t) = burst + floor(num * t / den) for t >= 1; jumps where the floor
   // increments, i.e. at t = ceil(v * den / num) for v = 1, 2, ...
-  std::vector<Step> pts;
+  SegmentStore pts = origin();
   append(pts, Step{Time(1), burst + Work(rate.floor())}, "token_bucket");
   const std::int64_t num = rate.num();
   const std::int64_t den = rate.den();
@@ -65,8 +86,8 @@ Staircase token_bucket(Work burst, const Rational& rate, Time horizon) {
     if (t > horizon.count()) break;
     if (t >= 1) append(pts, Step{Time(t), burst + Work(v)}, "token_bucket");
   }
-  return Staircase::from_points(std::move(pts), horizon)
-      .with_tail(Tail{Time(den), Work(num)});
+  return Staircase::from_segments(std::move(pts), horizon,
+                                 Tail{Time(den), Work(num)});
 }
 
 Staircase rate_latency(const Rational& rate, Time latency, Time horizon) {
@@ -75,7 +96,7 @@ Staircase rate_latency(const Rational& rate, Time latency, Time horizon) {
   STRT_REQUIRE(horizon >= latency + Time(rate.den()),
                "horizon must cover latency plus one rate period");
   // Value v >= 1 is first reached at t = latency + ceil(v * den / num).
-  std::vector<Step> pts;
+  SegmentStore pts = origin();
   const std::int64_t num = rate.num();
   const std::int64_t den = rate.den();
   for (std::int64_t v = 1;; ++v) {
@@ -85,8 +106,8 @@ Staircase rate_latency(const Rational& rate, Time latency, Time horizon) {
     if (t > horizon.count()) break;
     append(pts, Step{Time(t), Work(v)}, "rate_latency");
   }
-  return Staircase::from_points(std::move(pts), horizon)
-      .with_tail(Tail{Time(den), Work(num)});
+  return Staircase::from_segments(std::move(pts), horizon,
+                                 Tail{Time(den), Work(num)});
 }
 
 Staircase dedicated(std::int64_t rate, Time horizon) {
@@ -100,7 +121,7 @@ Staircase tdma_supply(Time slot, Time cycle, Time horizon) {
   STRT_REQUIRE(cycle <= horizon, "horizon must cover one cycle");
   // Worst-case alignment: the window opens right after a slot ends, so
   // each cycle contributes its service only during its last `slot` ticks.
-  std::vector<Step> pts;
+  SegmentStore pts = origin();
   const std::int64_t s = slot.count();
   const std::int64_t c = cycle.count();
   for (std::int64_t k = 0;; ++k) {
@@ -113,8 +134,8 @@ Staircase tdma_supply(Time slot, Time cycle, Time horizon) {
     }
     if (!any) break;
   }
-  return Staircase::from_points(std::move(pts), horizon)
-      .with_tail(Tail{cycle, Work(s)});
+  return Staircase::from_segments(std::move(pts), horizon,
+                                 Tail{cycle, Work(s)});
 }
 
 Staircase periodic_resource(Time budget, Time period, Time horizon) {
@@ -139,7 +160,7 @@ Staircase periodic_resource(Time budget, Time period, Time horizon) {
   // Materialize by scanning the closed form; the value changes both on
   // the unit-slope ramps and when k increments, so a plain O(horizon)
   // scan is the simplest correct enumeration.
-  std::vector<Step> pts;
+  SegmentStore pts = origin();
   std::int64_t prev = 0;
   for (std::int64_t t = 1; t <= horizon.count(); ++t) {
     const std::int64_t v = sbf(t);
@@ -148,8 +169,8 @@ Staircase periodic_resource(Time budget, Time period, Time horizon) {
       prev = v;
     }
   }
-  return Staircase::from_points(std::move(pts), horizon)
-      .with_tail(Tail{period, Work(Q)});
+  return Staircase::from_segments(std::move(pts), horizon,
+                                 Tail{period, Work(Q)});
 }
 
 Staircase schedule_supply(const std::vector<bool>& active, Time horizon) {
@@ -170,7 +191,7 @@ Staircase schedule_supply(const std::vector<bool>& active, Time horizon) {
     return c;
   };
 
-  std::vector<Step> pts;
+  SegmentStore pts = origin();
   std::int64_t prev = 0;
   for (std::int64_t t = 1; t <= horizon.count(); ++t) {
     std::int64_t best = std::numeric_limits<std::int64_t>::max();
@@ -182,8 +203,8 @@ Staircase schedule_supply(const std::vector<bool>& active, Time horizon) {
       prev = best;
     }
   }
-  return Staircase::from_points(std::move(pts), horizon)
-      .with_tail(Tail{Time(cycle), Work(per_cycle)});
+  return Staircase::from_segments(std::move(pts), horizon,
+                                 Tail{Time(cycle), Work(per_cycle)});
 }
 
 Staircase arrival_of_trace(std::vector<TraceJob> jobs, Time horizon) {
@@ -195,6 +216,8 @@ Staircase arrival_of_trace(std::vector<TraceJob> jobs, Time horizon) {
     STRT_REQUIRE(j.release >= Time(0), "job release must be non-negative");
     STRT_REQUIRE(j.wcet >= Work(0), "job wcet must be non-negative");
   }
+  // Window lengths of (first job, last job) pairs come out of time
+  // order, so this builder alone folds its points through from_points.
   std::vector<Step> pts;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     Work sum = Work(0);

@@ -4,9 +4,12 @@
 // and attaches the exact periodic tail, so downstream finitary analyses
 // can extend the curve losslessly to any busy-window length.
 //
-// Materialization is capped at kMaxCurveSteps breakpoints: a builder
-// whose staircase would pass the cap throws CurveSizeError before its
-// step vector grows beyond it.
+// The supply and arrival builders emit their steps in time order straight
+// into canonical form (no sort, no tail-attaching copy); only
+// arrival_of_trace, whose job windows come out of order, sorts its points
+// through Staircase::from_points.  Materialization is capped at
+// kMaxCurveSteps steps: a builder whose staircase would pass the cap
+// throws CurveSizeError before its store grows beyond it.
 #pragma once
 
 #include <cstddef>

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "base/checked.hpp"
+#include "base/hash.hpp"
 #include "obs/counters.hpp"
 
 namespace strt {
@@ -139,6 +140,60 @@ Time Staircase::inverse(Work w) const {
   STRT_ASSERT(idx < vs.size(), "inverse window selection failed");
   const Time base = max(store_.time(idx), horizon_ - Time(p) + Time(1));
   return base + Time(checked::mul(m, p));
+}
+
+std::size_t Staircase::steps_through(Time h) const {
+  const auto ts = store_.times();
+  if (h <= horizon_) return soa_upper_bound(ts, h) - 1;
+  STRT_REQUIRE(tail_.has_value(), "counting beyond horizon requires a tail");
+  // extended(h) repeats the base window (H - p, H] once per period: every
+  // full window adds the same steps -- its start when the lift clears
+  // f(H), then one per base breakpoint inside the window -- and a partial
+  // last window adds those that fit (see extended()).
+  const std::int64_t p = tail_->period.count();
+  const Time wbase = horizon_ - tail_->period + Time(1);
+  const std::size_t i0 = soa_upper_bound(ts, wbase);
+  const std::uint64_t starts =
+      tail_->increment > Work(0) &&
+              value_in_range(wbase) + tail_->increment > store_.back_value()
+          ? 1
+          : 0;
+  const std::uint64_t inner =
+      tail_->increment > Work(0) ? ts.size() - i0 : 0;
+  const std::int64_t over = (h - horizon_).count();
+  const auto full = static_cast<std::uint64_t>(over / p);
+  // Step times are distinct integers in (0, h], so n <= h cannot
+  // overflow.
+  std::uint64_t n = ts.size() - 1 + full * (starts + inner);
+  if (over % p != 0 && tail_->increment > Work(0)) {
+    // The partial window starts at H + full * p + 1 <= h.
+    const Time shift = h - Time(over % p) + tail_->period - horizon_;
+    const std::size_t fit = soa_upper_bound(ts, h - shift);
+    n += starts + (fit > i0 ? fit - i0 : 0);
+  }
+  return static_cast<std::size_t>(n);
+}
+
+std::uint64_t Staircase::content_hash() const {
+  if (const std::uint64_t cached = hash_.load(); cached != 0) return cached;
+  std::uint64_t fp = mix64(0x5374616972636173ULL);  // "Staircas"
+  fp = hash_combine(fp, static_cast<std::uint64_t>(horizon_.count()));
+  if (tail_) {
+    fp = hash_combine(fp, static_cast<std::uint64_t>(tail_->period.count()));
+    fp = hash_combine(fp,
+                      static_cast<std::uint64_t>(tail_->increment.count()));
+  } else {
+    fp = hash_combine(fp, 0xffffffffffffffffULL);
+  }
+  fp = hash_combine(fp, store_.size());
+  const auto ts = store_.times();
+  const auto vs = store_.values();
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    fp = hash_combine(fp, static_cast<std::uint64_t>(ts[i].count()));
+    fp = hash_combine(fp, static_cast<std::uint64_t>(vs[i].count()));
+  }
+  hash_.store(fp);
+  return fp;
 }
 
 std::optional<Rational> Staircase::long_run_rate() const {

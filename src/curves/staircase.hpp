@@ -22,6 +22,7 @@
 // steps() exposes them through the AoS-compatible StepView.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -121,6 +122,17 @@ class Staircase {
   /// Number of stored breakpoints (diagnostics / complexity reporting).
   [[nodiscard]] std::size_t breakpoint_count() const { return store_.size(); }
 
+  /// Number of steps after t = 0 of extended(h) (of truncated(h) when
+  /// h <= horizon()), counted without materializing it.  Requires a tail
+  /// if h > horizon().
+  [[nodiscard]] std::size_t steps_through(Time h) const;
+
+  /// 64-bit content hash of the breakpoints, horizon and tail (the
+  /// engine's curve fingerprint).  Computed on first use and kept: a
+  /// curve never changes, so neither does its hash.  Safe to call
+  /// concurrently on a shared curve.
+  [[nodiscard]] std::uint64_t content_hash() const;
+
   /// Approximate heap bytes of the SoA segment store (cache accounting).
   [[nodiscard]] std::uint64_t store_bytes() const {
     return store_.heap_bytes();
@@ -136,9 +148,34 @@ class Staircase {
   /// O(n^2) -- intended for tests and small curves.
   [[nodiscard]] bool is_subadditive() const;
 
-  friend bool operator==(const Staircase&, const Staircase&) = default;
+  /// Content equality (the cached hash takes no part).
+  friend bool operator==(const Staircase& a, const Staircase& b) {
+    return a.horizon_ == b.horizon_ && a.tail_ == b.tail_ &&
+           a.store_ == b.store_;
+  }
 
  private:
+  /// content_hash()'s slot: 0 until first computed (a curve whose hash
+  /// is 0 recomputes it each time).  Copies carry the value along.
+  class HashSlot {
+   public:
+    HashSlot() = default;
+    HashSlot(const HashSlot& o) : v_(o.load()) {}
+    HashSlot& operator=(const HashSlot& o) {
+      v_.store(o.load(), std::memory_order_relaxed);
+      return *this;
+    }
+    [[nodiscard]] std::uint64_t load() const {
+      return v_.load(std::memory_order_relaxed);
+    }
+    void store(std::uint64_t v) const {
+      v_.store(v, std::memory_order_relaxed);
+    }
+
+   private:
+    mutable std::atomic<std::uint64_t> v_{0};
+  };
+
   Staircase(SegmentStore store, Time horizon, std::optional<Tail> tail);
 
   /// Value lookup restricted to [0, horizon].
@@ -149,6 +186,7 @@ class Staircase {
   SegmentStore store_;  // canonical; store_.time(0) == 0
   Time horizon_{0};
   std::optional<Tail> tail_;
+  HashSlot hash_;
 };
 
 std::ostream& operator<<(std::ostream& os, const Staircase& f);

@@ -2,26 +2,6 @@
 
 namespace strt::engine {
 
-std::uint64_t fingerprint(const Staircase& c) {
-  std::uint64_t fp = mix64(0x5374616972636173ULL);  // "Staircas"
-  fp = hash_combine(fp, static_cast<std::uint64_t>(c.horizon().count()));
-  if (const auto& tail = c.tail()) {
-    fp = hash_combine(fp, static_cast<std::uint64_t>(tail->period.count()));
-    fp = hash_combine(fp,
-                      static_cast<std::uint64_t>(tail->increment.count()));
-  } else {
-    fp = hash_combine(fp, 0xffffffffffffffffULL);
-  }
-  fp = hash_combine(fp, c.breakpoint_count());
-  const auto ts = c.times();
-  const auto vs = c.values();
-  for (std::size_t i = 0; i < ts.size(); ++i) {
-    fp = hash_combine(fp, static_cast<std::uint64_t>(ts[i].count()));
-    fp = hash_combine(fp, static_cast<std::uint64_t>(vs[i].count()));
-  }
-  return fp;
-}
-
 std::uint64_t fingerprint(std::string_view bytes) {
   std::uint64_t fp = mix64(0x5374724279746573ULL);  // "StrBytes"
   fp = hash_combine(fp, bytes.size());

@@ -12,26 +12,17 @@
 #include <cstdint>
 #include <string_view>
 
+#include "base/hash.hpp"
 #include "curves/staircase.hpp"
 #include "resource/supply.hpp"
 
 namespace strt::engine {
 
-/// splitmix64 finalizer: full-avalanche mixing of one 64-bit lane.
-constexpr std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+/// Content fingerprint of a staircase: breakpoints, horizon, and tail
+/// (Staircase::content_hash, computed once per curve and then kept).
+[[nodiscard]] inline std::uint64_t fingerprint(const Staircase& c) {
+  return c.content_hash();
 }
-
-constexpr std::uint64_t hash_combine(std::uint64_t h, std::uint64_t v) {
-  return mix64(h ^ mix64(v));
-}
-
-/// Content fingerprint of a staircase: breakpoints, horizon, and tail.
-/// O(breakpoint_count); equal curves hash equal by construction.
-[[nodiscard]] std::uint64_t fingerprint(const Staircase& c);
 
 /// Fingerprint of a byte string (mix64 lane chaining).
 [[nodiscard]] std::uint64_t fingerprint(std::string_view bytes);

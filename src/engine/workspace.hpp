@@ -31,9 +31,10 @@
 //     (graph/explore) per task fingerprint, with its own mutex, and
 //     extends it in place.  rbf/dbf misses read their staircases off it
 //     and the structural analysis folds its frontier states and witness
-//     from it, so a busy-window doubling search costs one incremental
-//     exploration in total.  A view at any explored limit is exactly a
-//     fresh explore_paths() there, so the answers do not change.
+//     from it, so the streamed busy-window search (core/busy_window)
+//     costs one incremental exploration in total.  A view at any
+//     explored limit is exactly a fresh explore_paths() there, so the
+//     answers do not change.
 //   * utilization() -- Dinkelbach iteration over Bellman-Ford sweeps, a
 //     handful of probes -- is memoized per task fingerprint, for the
 //     analyses' overload checks and the lint passes.

@@ -48,6 +48,7 @@ Frontier::Frontier(const DrtTask& task, ExploreOptions opts, bool resumable)
   for (const DrtEdge& e : task.edges()) {
     max_separation_ = max(max_separation_, e.separation);
   }
+  rbf_.append(Time(0), Work(0));
 }
 
 std::vector<PathState> Frontier::path_to(std::int32_t state) const {
@@ -132,6 +133,11 @@ void Frontier::extend(Time limit) {
     }
     if (!live) continue;  // dominated after insertion
     ++totals_.expanded;
+    // The kept rbf (see rbf_steps()).  A bucket pops in work-descending
+    // order, so only the first pop at a tick can raise the rbf there.
+    if (st.work > rbf_.back_value()) {
+      rbf_.append(st.elapsed + Time(1), st.work);
+    }
     if (opts_.progress_every != 0 &&
         totals_.expanded % opts_.progress_every == 0 && opts_.on_progress) {
       ExploreProgress p;
@@ -231,7 +237,8 @@ ExploreResult Frontier::view(Time limit) const {
 std::size_t Frontier::bytes() const {
   std::size_t n = arena_.capacity() * sizeof(PathState) +
                   skylines_.capacity() * sizeof(FlatSkyline) +
-                  marks_.capacity() * sizeof(TickMark) + queue_.bytes();
+                  marks_.capacity() * sizeof(TickMark) + queue_.bytes() +
+                  rbf_.heap_bytes();
   for (const FlatSkyline& s : skylines_) n += s.bytes();
   return n;
 }

@@ -28,6 +28,14 @@
 // one-shot frontier: it drops children past its limit, exactly as the
 // explorer always did.
 //
+// Kept rbf: a live pop is final (its children are strictly later, so an
+// entry at or below the cursor is never evicted), and pops come in
+// elapsed order.  So the frontier keeps the request-bound staircase of
+// its live pops -- the running max of (elapsed + 1, work) -- as it goes,
+// already sorted: rbf on any horizon <= limit() + 1 is a prefix of it
+// (graph/workload's rbf_of copies that prefix).  An aborted exploration
+// has queued states it never popped, so its kept rbf is not used.
+//
 // This engine backs the structural delay analysis (core/structural) and
 // the request-bound function computation (graph/workload); the ablation
 // benchmark E6 runs it with pruning disabled to measure the effect.
@@ -38,6 +46,7 @@
 #include <vector>
 
 #include "base/types.hpp"
+#include "curves/segment_store.hpp"
 #include "graph/drt.hpp"
 #include "graph/skyline.hpp"
 
@@ -149,6 +158,10 @@ class Frontier {
   /// explore_paths(limit)'s result, for limit <= limit(), re-indexed.
   [[nodiscard]] ExploreResult view(Time limit) const;
 
+  /// Canonical rbf breakpoints of the live pops so far (see the file
+  /// comment), from (0, 0): exact through limit() + 1 unless aborted().
+  [[nodiscard]] const SegmentStore& rbf_steps() const { return rbf_; }
+
   /// Approximate heap footprint.
   [[nodiscard]] std::size_t bytes() const;
 
@@ -176,6 +189,7 @@ class Frontier {
   std::vector<FlatSkyline> skylines_;
   BucketQueue queue_{Time(0)};  // re-made for the reach by extend()
   std::vector<TickMark> marks_;
+  SegmentStore rbf_;  // see rbf_steps()
   /// Whole-run stats (everything accepted, past the limit too).
   ExploreStats totals_;
   bool capped_ = false;

@@ -27,9 +27,27 @@ Staircase rbf(const DrtTask& task, Time horizon, ExploreStats* stats) {
   return from_exploration(task, horizon, stats, rbf_of);
 }
 
+void append_rbf(const Frontier& paths, Time horizon, SegmentStore& out) {
+  STRT_REQUIRE(!paths.aborted(), "an aborted exploration keeps no rbf");
+  STRT_REQUIRE(horizon - Time(1) <= paths.limit(),
+               "rbf horizon past the explored limit");
+  const SegmentStore& kept = paths.rbf_steps();
+  const std::size_t n = soa_upper_bound(kept.times(), horizon);
+  for (std::size_t i = out.size(); i < n; ++i) {
+    out.append(kept.time(i), kept.value(i));
+  }
+}
+
 Staircase rbf_of(const Frontier& paths, Time horizon) {
   STRT_REQUIRE(horizon >= Time(0), "horizon must be non-negative");
   if (horizon == Time(0)) return Staircase(horizon);
+  if (!paths.aborted()) {
+    SegmentStore prefix;
+    append_rbf(paths, horizon, prefix);
+    return Staircase::from_segments(std::move(prefix), horizon);
+  }
+  // An aborted exploration has queued states it never popped; fold every
+  // frontier state, as a view of it reports them.
   std::vector<Step> pts;
   paths.for_each_frontier(horizon - Time(1),
                           [&](std::int32_t, const PathState& s) {

@@ -18,8 +18,15 @@ namespace strt {
                             ExploreStats* stats = nullptr);
 
 /// rbf on [0, horizon] read off an exploration of its task that covers
-/// every span <= horizon - 1 (paths.limit() >= horizon - 1).
+/// every span <= horizon - 1 (paths.limit() >= horizon - 1): a prefix
+/// copy of the frontier's kept rbf (Frontier::rbf_steps), or a fold of
+/// its frontier states if the exploration aborted.
 [[nodiscard]] Staircase rbf_of(const Frontier& paths, Time horizon);
+
+/// Streams rbf_of(paths, horizon)'s breakpoints: `out`, which holds them
+/// through some earlier horizon (empty at first), gets the rest up to
+/// `horizon` appended.  `paths` must not be aborted.
+void append_rbf(const Frontier& paths, Time horizon, SegmentStore& out);
 
 /// Demand-bound function at a single point:
 ///   dbf(t) = max over legal runs starting at 0 of the total work of jobs

@@ -5,6 +5,7 @@
 #include <span>
 #include <utility>
 
+#include "base/hash.hpp"
 #include "check/check.hpp"
 #include "core/busy_window.hpp"
 #include "curves/builders.hpp"
@@ -116,12 +117,12 @@ std::string_view status_name(OutcomeStatus s) {
 }
 
 std::uint64_t request_fingerprint(const AnalysisRequest& req) {
-  std::uint64_t fp = engine::mix64(0x5374725265714670ULL);  // "StrReqFp"
-  fp = engine::hash_combine(fp, req.tasks.size());
+  std::uint64_t fp = mix64(0x5374725265714670ULL);  // "StrReqFp"
+  fp = hash_combine(fp, req.tasks.size());
   for (const DrtTask& t : req.tasks) {
-    fp = engine::hash_combine(fp, t.fingerprint());
+    fp = hash_combine(fp, t.fingerprint());
   }
-  return engine::hash_combine(fp, engine::fingerprint(req.supply));
+  return hash_combine(fp, engine::fingerprint(req.supply));
 }
 
 namespace {

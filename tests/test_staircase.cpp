@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "base/assert.hpp"
 #include "curves/staircase.hpp"
@@ -212,6 +214,70 @@ TEST(Staircase, RandomInverseRoundTrip) {
     }
     }
   }
+}
+
+TEST(Staircase, StepsThroughCountsTheExtendedCurve) {
+  Rng rng(2718);
+  for (int trial = 0; trial < 200; ++trial) {
+    const Time horizon(rng.uniform_int(1, 40));
+    const Staircase base = test::random_staircase(rng, horizon);
+    const Time period(rng.uniform_int(1, horizon.count()));
+    // The smallest increment that keeps the extension monotone, plus
+    // slack; a zero increment only where the last window is flat.
+    const Work rise =
+        base.value(horizon) - base.value(horizon - period + Time(1));
+    const Work inc = rise + Work(rng.uniform_int(0, 3));
+    const Staircase f = base.with_tail(Tail{period, inc});
+    for (std::int64_t h = 0; h <= 4 * horizon.count() + 7; ++h) {
+      EXPECT_EQ(f.steps_through(Time(h)),
+                f.extended(Time(h)).truncated(Time(h)).breakpoint_count() -
+                    1)
+          << "trial " << trial << " h " << h << ": " << f;
+    }
+  }
+}
+
+TEST(Staircase, StepsThroughFarPastTheHorizon) {
+  // One step per tick, counted out to 2^62 ticks without building them.
+  const Staircase unit = Staircase::from_points({Step{Time(1), Work(1)}},
+                                                Time(1))
+                             .with_tail(Tail{Time(1), Work(1)});
+  EXPECT_EQ(unit.steps_through(Time(std::int64_t{1} << 62)),
+            std::size_t{1} << 62);
+  // Two steps per period of 3 (ticks 2 and 3 of each).
+  const Staircase two =
+      Staircase::from_points({Step{Time(2), Work(1)}, Step{Time(3), Work(2)}},
+                             Time(3))
+          .with_tail(Tail{Time(3), Work(2)});
+  EXPECT_EQ(two.steps_through(Time(3 * (std::int64_t{1} << 40) + 2)),
+            (std::size_t{1} << 41) + 1);
+}
+
+TEST(Staircase, ContentHashIsKeptAndIgnoredByEquality) {
+  Rng rng(31);
+  for (int trial = 0; trial < 20; ++trial) {
+    const Staircase f = test::random_staircase(rng, Time(50))
+                            .with_tail(Tail{Time(50), Work(100)});
+    const Staircase fresh = f;  // copied before any hash was taken
+    const std::uint64_t h = f.content_hash();
+    EXPECT_EQ(f.content_hash(), h);
+    const Staircase copy = f;  // carries the hash along
+    EXPECT_EQ(copy.content_hash(), h);
+    EXPECT_EQ(fresh, f);  // one hashed, one not: still equal
+    EXPECT_EQ(fresh.content_hash(), h);
+    EXPECT_NE(f.without_tail().content_hash(), h);
+    EXPECT_NE(f.truncated(Time(49)).content_hash(), h);
+  }
+  // Threads racing the first computation on one shared curve agree.
+  const Staircase shared = test::random_staircase(rng, Time(5000));
+  std::vector<std::uint64_t> seen(4);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    threads.emplace_back([&, i] { seen[i] = shared.content_hash(); });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::uint64_t h : seen) EXPECT_EQ(h, seen[0]);
+  EXPECT_EQ(shared.truncated(shared.horizon()).content_hash(), seen[0]);
 }
 
 }  // namespace

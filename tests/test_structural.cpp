@@ -1,8 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "core/audsley.hpp"
 #include "core/curve_based.hpp"
+#include "core/edf.hpp"
+#include "core/fixed_priority.hpp"
+#include "core/joint_fp.hpp"
 #include "core/structural.hpp"
 #include "curves/builders.hpp"
+#include "curves/minplus.hpp"
+#include "graph/explore.hpp"
+#include "graph/workload.hpp"
 #include "model/generator.hpp"
 #include "model/sporadic.hpp"
 #include "sim/fifo.hpp"
@@ -238,6 +250,236 @@ TEST(CurveBased, OverloadIsUnbounded) {
   const SporadicTask sp{"s", Work(9), Time(5), Time(5)};
   const CurveResult res = curve_delay(test::workspace(), sp.to_drt(), Supply::dedicated(1));
   EXPECT_TRUE(res.delay.is_unbounded());
+}
+
+// ---------------------------------------------------------------------------
+// The streamed busy-window search (rbf_catch_up) and the frontier's kept
+// rbf it reads.
+
+/// One supply of each of the five models.
+std::vector<Supply> five_supplies() {
+  return {Supply::dedicated(1),
+          Supply::bounded_delay(Rational(2, 3), Time(5)),
+          Supply::periodic(Time(6), Time(10)),
+          Supply::tdma(Time(7), Time(12)),
+          Supply::schedule(
+              {true, false, true, true, false, true, true, false})};
+}
+
+/// 1-3 frame-separated tasks of 2-4 vertices with separations up to
+/// `max_sep`, total utilization `load` times `rate` (about; the generator
+/// rounds).
+std::vector<DrtTask> small_system(Rng& rng, const Rational& rate,
+                                  double load, Time max_sep) {
+  DrtGenParams params;
+  params.min_vertices = 2;
+  params.max_vertices = 4;
+  params.min_separation = Time(4);
+  params.max_separation = max_sep;
+  params.chord_probability = 0.3;
+  const auto count = static_cast<std::size_t>(rng.uniform_int(1, 3));
+  const double target = load * static_cast<double>(rate.num()) /
+                        static_cast<double>(rate.den());
+  auto gen = random_drt_set(rng, count, target, params);
+  std::vector<DrtTask> tasks;
+  for (auto& g : gen) tasks.push_back(std::move(g.task));
+  return tasks;
+}
+
+bool fits(engine::Workspace& ws, const std::vector<DrtTask>& tasks,
+          const Supply& supply) {
+  Rational total(0);
+  for (const DrtTask& t : tasks) total += *ws.utilization(t);
+  return total < supply.long_run_rate();
+}
+
+/// The busy window by definition: the first catch-up of the summed
+/// one-shot rbfs against the materialized supply, on a horizon doubled
+/// until it holds one.
+Time reference_window(const std::vector<DrtTask>& tasks,
+                      const Supply& supply) {
+  for (Time h = max(supply.min_horizon(), Time(64));; h = h * 2) {
+    Staircase sum(h);
+    for (const DrtTask& t : tasks) sum = pointwise_add(sum, rbf(t, h));
+    if (const std::optional<Time> L = first_catch_up(sum, supply.sbf(h))) {
+      return *L;
+    }
+    if (h > Time(1 << 20)) {
+      ADD_FAILURE() << "no busy window found";
+      return Time(0);
+    }
+  }
+}
+
+TEST(BusyWindowSearch, EqualsTheFirstCatchUpOfMaterializedCurves) {
+  Rng rng(1812);
+  int checked = 0;
+  for (const Supply& supply : five_supplies()) {
+    for (int trial = 0; trial < 12; ++trial) {
+      // Loads of 0.75-0.98 and long separations: windows from a few
+      // ticks to thousands, most of them past the first search step.
+      const std::vector<DrtTask> tasks =
+          small_system(rng, supply.long_run_rate(),
+                       0.75 + 0.23 * rng.uniform_real(), Time(150));
+      if (!fits(test::workspace(), tasks, supply)) continue;
+      const Time want = reference_window(tasks, supply);
+      for (const bool caching : {true, false}) {
+        engine::Workspace ws(caching);
+        const std::string what = supply.describe() + " trial " +
+                                 std::to_string(trial) +
+                                 (caching ? " cache on" : " cache off");
+        EXPECT_EQ(rbf_catch_up(ws, tasks, supply, "test"), want) << what;
+        if (tasks.size() == 1) {
+          const std::optional<BusyWindow> bw =
+              busy_window(ws, tasks[0], supply);
+          ASSERT_TRUE(bw.has_value()) << what;
+          EXPECT_EQ(bw->length, want) << what;
+          // The curves cover the window, so it closes inside them.
+          EXPECT_EQ(busy_window_of_curves(bw->rbf, bw->sbf), want) << what;
+        }
+      }
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 40);
+}
+
+TEST(BusyWindowSearch, PastTheGuardIsAHorizonGuardError) {
+  // Utilization 1/2 on a unit-rate supply: L = 2^12, past a 2^10 guard.
+  const DrtTask task =
+      SporadicTask{"big", Work(1 << 12), Time(1 << 13), Time(1 << 13)}
+          .to_drt();
+  const DrtTask* const one[] = {&task};
+  engine::Workspace ws(false);
+  EXPECT_THROW((void)rbf_catch_up(ws, one, Supply::dedicated(1), "test",
+                                  std::int64_t{1} << 10),
+               HorizonGuardError);
+  EXPECT_EQ(rbf_catch_up(ws, one, Supply::dedicated(1), "test"),
+            Time(1 << 12));
+}
+
+/// rbf on [0, h] folded from the frontier states of `paths`, the way
+/// every exploration was read before the frontier kept its own.
+Staircase folded_rbf(const Frontier& paths, Time h) {
+  std::vector<Step> pts;
+  paths.for_each_frontier(h - Time(1), [&](std::int32_t, const PathState& s) {
+    pts.push_back(Step{s.elapsed + Time(1), s.work});
+  });
+  return Staircase::from_points(std::move(pts), h);
+}
+
+TEST(BusyWindowSearch, KeptRbfEqualsTheFoldedFrontier) {
+  Rng rng(6060);
+  for (int trial = 0; trial < 30; ++trial) {
+    DrtGenParams params;
+    params.min_vertices = 2;
+    params.max_vertices = 6;
+    params.min_separation = Time(2);
+    params.max_separation = Time(20);
+    params.chord_probability = 0.4;
+    params.target_utilization = 0.6;
+    const DrtTask task = random_drt(rng, params).task;
+    const std::string what = "trial " + std::to_string(trial);
+    // Resumable frontiers, pruned and not, at every explored limit; the
+    // streamed copy grows along with them.
+    for (const bool prune : {true, false}) {
+      Frontier paths(task, ExploreOptions{.prune = prune});
+      SegmentStore streamed;
+      std::int64_t limit = 0;
+      for (int step = 0; step < 5; ++step) {
+        limit += rng.uniform_int(0, prune ? 80 : 6);
+        paths.extend(Time(limit));
+        for (std::int64_t h = 1; h <= limit + 1; ++h) {
+          ASSERT_EQ(rbf_of(paths, Time(h)), folded_rbf(paths, Time(h)))
+              << what << " prune " << prune << " h " << h;
+        }
+        append_rbf(paths, Time(limit + 1), streamed);
+        EXPECT_EQ(Staircase::from_segments(streamed, Time(limit + 1)),
+                  rbf_of(paths, Time(limit + 1)))
+            << what;
+      }
+    }
+    // A one-shot frontier, as strt::rbf explores.
+    const std::int64_t limit = rng.uniform_int(0, 120);
+    Frontier once(task, ExploreOptions{}, /*resumable=*/false);
+    once.extend(Time(limit));
+    for (std::int64_t h = 1; h <= limit + 1; ++h) {
+      ASSERT_EQ(rbf_of(once, Time(h)), folded_rbf(once, Time(h)))
+          << what << " one-shot h " << h;
+    }
+    EXPECT_EQ(rbf(task, Time(limit + 1)), rbf_of(once, Time(limit + 1)));
+    // A capped frontier keeps the fold of its explored prefix.
+    Frontier capped(task, ExploreOptions{.prune = false, .max_states = 40});
+    capped.extend(Time(400));
+    ASSERT_TRUE(capped.aborted()) << what;
+    EXPECT_EQ(rbf_of(capped, Time(300)), folded_rbf(capped, Time(300)))
+        << what;
+  }
+}
+
+TEST(BusyWindowSearch, OutcomesEqualWithCacheOnAndOff) {
+  Rng rng(4711);
+  for (const Supply& supply : five_supplies()) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const std::vector<DrtTask> tasks =
+          small_system(rng, supply.long_run_rate(),
+                       0.5 + 0.4 * rng.uniform_real(), Time(40));
+      if (!fits(test::workspace(), tasks, supply)) continue;
+      const std::string what =
+          supply.describe() + " trial " + std::to_string(trial);
+      const Time window = reference_window(tasks, supply);
+      engine::Workspace on(true);
+      engine::Workspace off(false);
+
+      const StructuralResult s_on = structural_delay(on, tasks[0], supply);
+      const StructuralResult s_off = structural_delay(off, tasks[0], supply);
+      EXPECT_EQ(s_on.delay, s_off.delay) << what;
+      EXPECT_EQ(s_on.backlog, s_off.backlog) << what;
+      EXPECT_EQ(s_on.busy_window, s_off.busy_window) << what;
+      EXPECT_EQ(s_on.vertex_delays, s_off.vertex_delays) << what;
+      EXPECT_EQ(s_on.stats.generated, s_off.stats.generated) << what;
+      EXPECT_EQ(s_on.stats.expanded, s_off.stats.expanded) << what;
+
+      const FpResult f_on = fixed_priority_analysis(on, tasks, supply);
+      const FpResult f_off = fixed_priority_analysis(off, tasks, supply);
+      EXPECT_EQ(f_on.system_busy_window, window) << what;
+      EXPECT_EQ(f_off.system_busy_window, window) << what;
+      ASSERT_EQ(f_on.tasks.size(), f_off.tasks.size()) << what;
+      for (std::size_t i = 0; i < f_on.tasks.size(); ++i) {
+        EXPECT_EQ(f_on.tasks[i].busy_window, f_off.tasks[i].busy_window);
+        EXPECT_EQ(f_on.tasks[i].structural_delay,
+                  f_off.tasks[i].structural_delay)
+            << what;
+        EXPECT_EQ(f_on.tasks[i].curve_delay, f_off.tasks[i].curve_delay)
+            << what;
+      }
+
+      const EdfResult e_on = edf_schedulable(on, tasks, supply);
+      const EdfResult e_off = edf_schedulable(off, tasks, supply);
+      EXPECT_EQ(e_on.horizon_checked, window) << what;
+      EXPECT_EQ(e_off.horizon_checked, window) << what;
+      EXPECT_EQ(e_on.schedulable, e_off.schedulable) << what;
+      EXPECT_EQ(e_on.margin, e_off.margin) << what;
+      EXPECT_EQ(e_on.first_violation, e_off.first_violation) << what;
+
+      const AudsleyResult a_on = audsley_assignment(on, tasks, supply);
+      const AudsleyResult a_off = audsley_assignment(off, tasks, supply);
+      EXPECT_EQ(a_on.feasible, a_off.feasible) << what;
+      EXPECT_EQ(a_on.order, a_off.order) << what;
+      EXPECT_EQ(a_on.tests_run, a_off.tests_run) << what;
+
+      const std::span<const DrtTask> hps(tasks.data(), tasks.size() - 1);
+      const JointFpResult j_on =
+          joint_multi_task_fp(on, hps, tasks.back(), supply);
+      const JointFpResult j_off =
+          joint_multi_task_fp(off, hps, tasks.back(), supply);
+      EXPECT_EQ(j_on.busy_window, window) << what;
+      EXPECT_EQ(j_off.busy_window, window) << what;
+      EXPECT_EQ(j_on.joint_delay, j_off.joint_delay) << what;
+      EXPECT_EQ(j_on.rbf_delay, j_off.rbf_delay) << what;
+      EXPECT_EQ(j_on.paths_analyzed, j_off.paths_analyzed) << what;
+    }
+  }
 }
 
 }  // namespace
